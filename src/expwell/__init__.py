@@ -61,6 +61,8 @@ from .specfun import (
     GAMMA_OVERFLOW,
     OrderZeroList,
     bessel_j,
+    bessel_j_dnu,
+    digamma,
     find_nu_zeros,
     gamma,
     rgamma,
@@ -84,7 +86,9 @@ __all__ = [
     "ConvergenceError",
     "gamma",
     "rgamma",
+    "digamma",
     "bessel_j",
+    "bessel_j_dnu",
     "find_nu_zeros",
     "OrderZeroList",
     "GAMMA_OVERFLOW",

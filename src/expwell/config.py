@@ -14,7 +14,9 @@ class SolverConfig:
     bracket_step : float
         Step of the sign-change scan in the Bessel order nu.
     root_tol : float
-        Absolute bisection tolerance for zeros in nu.
+        Absolute tolerance for zeros in nu: Newton refinement stops when
+        its step or bracket is this small, and zeros within it of nu = 0
+        are the non-normalizable threshold state.
     residual_tol : float
         Largest |J_nu(z0)| accepted for a quantized state.
     energy_scan_steps : int
@@ -27,10 +29,6 @@ class SolverConfig:
         Default grid size for the Numerov oracle (before refinement).
     fd_points : int
         Default grid size for the finite-difference oracle.
-    norm_panels : int
-        Gauss panels used for wavefunction normalization integrals.
-    norm_tail_eps : float
-        Relative weight below which the analytic wavefunction tail is cut.
     """
 
     bracket_step: float = 0.05
@@ -41,8 +39,6 @@ class SolverConfig:
     r_max_factor: float = 45.0
     numerov_points: int = 4501
     fd_points: int = 9001
-    norm_panels: int = 2048
-    norm_tail_eps: float = 1e-12
 
     def __post_init__(self):
         if self.bracket_step <= 0:

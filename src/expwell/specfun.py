@@ -1,4 +1,5 @@
-"""Self-contained special functions: Gamma, 1/Gamma, J_nu, and order zeros.
+"""Self-contained special functions: Gamma, 1/Gamma, digamma, J_nu, its
+derivative in the order, and order zeros.
 
 Everything here is evaluated from embedded constants and plain arithmetic;
 no external special-function library is used.  The Bessel series is summed
@@ -26,7 +27,9 @@ __all__ = [
     "OrderZeroList",
     "gamma",
     "rgamma",
+    "digamma",
     "bessel_j",
+    "bessel_j_dnu",
     "find_nu_zeros",
 ]
 
@@ -119,6 +122,34 @@ def rgamma(x: float) -> float:
     if x >= GAMMA_OVERFLOW:
         return 0.0
     return 1.0 / gamma(x)
+
+
+# Asymptotic digamma series: psi(x) ~ ln x - 1/(2x) - sum_n B_2n / (2n x^2n).
+# Coefficients B_2n / (2n) for n = 1..6; the first omitted term is below
+# 1e-15 for x >= _DIGAMMA_SHIFT.
+_DIGAMMA_B = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0,
+              1.0 / 132.0, -691.0 / 32760.0)
+_DIGAMMA_SHIFT = 10.0
+
+
+def digamma(x: float) -> float:
+    """Digamma psi(x) = Gamma'(x) / Gamma(x) for real x > 0.
+
+    Shifts x up to 10 with psi(x) = psi(x + 1) - 1/x, then sums the
+    asymptotic series; the absolute error is about 1e-15.
+    """
+    x = float(x)
+    if not x > 0.0:  # also rejects NaN
+        raise DomainError("digamma: argument must be positive")
+    acc = 0.0
+    while x < _DIGAMMA_SHIFT:
+        acc -= 1.0 / x
+        x += 1.0
+    inv2 = 1.0 / (x * x)
+    tail = 0.0
+    for b in reversed(_DIGAMMA_B):
+        tail = (tail + b) * inv2
+    return acc + math.log(x) - 0.5 / x - tail
 
 
 def _gamma_array(x: np.ndarray) -> np.ndarray:
@@ -217,13 +248,68 @@ def bessel_j(nu, z):
     return _bessel_series_array(nu_b.copy(), z_b.copy(), gnu_b)
 
 
+def bessel_j_dnu(nu: float, z: float) -> tuple[float, float]:
+    """J_nu(z) and its derivative in the order, from one series.
+
+    Differentiating the series term by term gives
+    d/dnu J_nu(z) = J_nu(z) (ln(z/2) - psi(nu+1)) - sum_k t_k H_k, where
+    t_k is the k-th term of J_nu and H_k = sum_{j<k} 1/(nu+j+1).  t_k, the
+    partial sums and H_k are all carried in double-double: H_k multiplies
+    terms as large as ~1e23 at z = 60.  psi(nu+1) multiplies only J_nu and
+    is taken in double.  The absolute error of both values follows that of
+    ``bessel_j``.
+
+    Parameters
+    ----------
+    nu : float
+        Order, 0 <= nu <= 60.
+    z : float
+        Argument, 0 < z <= 60 (the order derivative diverges at z = 0
+        for nu = 0).
+
+    Raises
+    ------
+    DomainError
+        Outside that envelope.
+    """
+    nu, z = float(nu), float(z)
+    if not 0.0 <= nu <= BESSEL_NU_MAX:
+        raise DomainError(f"bessel_j_dnu: order outside [0, {BESSEL_NU_MAX:g}]")
+    if not 0.0 < z <= BESSEL_Z_MAX:
+        raise DomainError(
+            f"bessel_j_dnu: argument outside (0, {BESSEL_Z_MAX:g}]")
+    half = 0.5 * z
+    t0 = half ** nu / gamma(nu + 1.0)
+    qh, ql = two_prod(half, half)  # (z/2)^2, exact
+    sh, sl = t0, 0.0  # sum t_k
+    th, tl = t0, 0.0  # t_k
+    hh, hl = 0.0, 0.0  # H_k
+    wh, wl = 0.0, 0.0  # sum t_k H_k
+    for k in range(_SERIES_MAX_TERMS):
+        ah, al = two_sum(nu, float(k + 1))
+        ih, il = dd_div(1.0, 0.0, ah, al)
+        hh, hl = dd_add(hh, hl, ih, il)
+        dh, dl = _series_denominator(nu, k)
+        rh, rl = dd_div(qh, ql, dh, dl)
+        th, tl = dd_mul(th, tl, -rh, -rl)
+        sh, sl = dd_add(sh, sl, th, tl)
+        ph, pl = dd_mul(th, tl, hh, hl)
+        wh, wl = dd_add(wh, wl, ph, pl)
+        # Near a zero of J_nu the derivative sum sets the scale.
+        if abs(th) <= _SERIES_CUTOFF * (abs(sh) + abs(wh)):
+            break
+    j = sh + sl
+    return j, j * (math.log(half) - digamma(nu + 1.0)) - (wh + wl)
+
+
 @dataclass(frozen=True)
 class OrderZeroList:
     """Orders nu > 0 at which J_nu(z0) vanishes, for a fixed argument z0.
 
-    ``zeros`` is strictly ascending and complete on (0, search_ceiling]:
-    since the first positive zero of J_nu exceeds nu, no solutions of
-    J_nu(z0) = 0 exist for nu >= z0, and the scan ceiling is z0 itself.
+    ``zeros`` is strictly ascending and complete on (root_tol,
+    search_ceiling]: since the first positive zero of J_nu exceeds nu, no
+    solutions of J_nu(z0) = 0 exist for nu >= z0, and the scan ceiling is
+    z0 itself.
     """
 
     z0: float
@@ -237,13 +323,54 @@ class OrderZeroList:
             raise ValueError("OrderZeroList: zeros outside (0, ceiling]")
 
 
-def find_nu_zeros(z0: float, cfg: SolverConfig = DEFAULT_CONFIG) -> OrderZeroList:
-    """Scan nu in (0, z0] for zeros of nu -> J_nu(z0).
+def _refine_zero(z0: float, a: float, b: float, fa: float, fb: float,
+                 tol: float) -> float:
+    """Zero of nu -> J_nu(z0) in a sign-change bracket [a, b].
 
-    Sign changes on a grid with step ``cfg.bracket_step`` are refined by
-    bisection to ``cfg.root_tol``.  Returns an empty list when z0 is below
-    the first zero of J_0 (~2.4048): no order can then satisfy the
-    quantization condition.
+    Newton steps from the secant point, with the derivative in the order
+    from ``bessel_j_dnu``; each evaluation shrinks the bracket.  As in the
+    classic safeguarded Newton (Press et al., Numerical Recipes, rtsafe), a
+    step that leaves the bracket, or that is not at most half the step two
+    iterations back, is replaced by bisection, which bounds the number of
+    evaluations.  Returns the Newton update once the step is within
+    ``tol``.  If the bracket closes to ``tol`` first, which happens only
+    where the series' rounding noise (up to ~1e-8 near z0 = 60) exceeds
+    |dJ/dnu| * tol, it returns the evaluated order with the smallest
+    |J_nu(z0)|.
+    """
+    x = a - fa * (b - a) / (fb - fa)
+    step = older_step = b - a
+    best_x, best_j = x, math.inf
+    while True:
+        j, dj = bessel_j_dnu(x, z0)
+        if abs(j) < best_j:
+            best_x, best_j = x, abs(j)
+        if (j < 0.0) == (fa < 0.0):
+            a, fa = x, j
+        else:
+            b = x
+        newton = j / dj if dj != 0.0 else math.inf
+        if abs(newton) <= tol:
+            return x - newton
+        if b - a <= tol:
+            return best_x
+        if a < x - newton < b and abs(newton) <= 0.5 * abs(older_step):
+            older_step, step = step, newton
+            x -= newton
+        else:
+            older_step, step = step, 0.5 * (b - a)
+            x = a + step
+
+
+def find_nu_zeros(z0: float, cfg: SolverConfig = DEFAULT_CONFIG) -> OrderZeroList:
+    """Scan nu in [0, z0] for zeros of nu -> J_nu(z0).
+
+    Sign changes on a grid with step ``cfg.bracket_step``, starting at
+    nu = 0, are refined by safeguarded Newton steps (``_refine_zero``) to
+    ``cfg.root_tol``.  A zero within ``root_tol`` of 0 is the
+    non-normalizable nu = 0 threshold state and is not returned.  Returns
+    an empty list when z0 is below the first zero of J_0 (~2.4048): no
+    order can then satisfy the quantization condition.
     """
     z0 = float(z0)
     if not z0 > 0.0:  # also rejects NaN
@@ -251,31 +378,18 @@ def find_nu_zeros(z0: float, cfg: SolverConfig = DEFAULT_CONFIG) -> OrderZeroLis
     if z0 > BESSEL_Z_MAX:
         raise DomainError(f"find_nu_zeros: z0 outside [0, {BESSEL_Z_MAX:g}]")
     step = cfg.bracket_step
-    grid = np.arange(step, z0 + 0.5 * step, step)
+    grid = np.arange(0.0, z0 + 0.5 * step, step)
     grid = grid[grid <= min(z0, BESSEL_NU_MAX)]
-    if len(grid) == 0:
-        return OrderZeroList(z0=z0, zeros=(), search_ceiling=z0)
-    vals = bessel_j(grid, z0)
-    vals = np.atleast_1d(vals)
+    vals = np.atleast_1d(bessel_j(grid, z0))
     zeros: list[float] = []
     for i in range(len(grid) - 1):
         a, b = float(grid[i]), float(grid[i + 1])
         fa, fb = float(vals[i]), float(vals[i + 1])
         if fa == 0.0:
             zeros.append(a)
-            continue
-        if fa * fb < 0.0:
-            while b - a > cfg.root_tol:
-                c = 0.5 * (a + b)
-                fc = bessel_j(c, z0)
-                if fc == 0.0:
-                    a = b = c
-                    break
-                if fa * fc < 0.0:
-                    b = c
-                else:
-                    a, fa = c, fc
-            zeros.append(0.5 * (a + b))
-    if len(vals) and float(vals[-1]) == 0.0:
+        elif fa * fb < 0.0:
+            zeros.append(_refine_zero(z0, a, b, fa, fb, cfg.root_tol))
+    if float(vals[-1]) == 0.0:
         zeros.append(float(grid[-1]))
+    zeros = [nu for nu in zeros if nu > cfg.root_tol]
     return OrderZeroList(z0=z0, zeros=tuple(zeros), search_ceiling=z0)

@@ -2,13 +2,18 @@
 
 The analytic wavefunction and normalization are cross-checked against a
 Numerov integrator written directly in this file (independent of both the
-library solver and the library oracle module).
+library solver and the library oracle module), and the normalization and
+threshold counts against scipy.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate
+from scipy.optimize import brentq
+from scipy.special import jn_zeros, jv
 
 from expwell import (
     DomainError,
@@ -40,6 +45,36 @@ def _numerov_inward(v0, beta, energy, r_max, n, mu=0.5, hbar=1.0):
         u[i] = (2.0 * u[i + 1] * (1.0 + 5.0 * c * q[i + 1])
                 - u[i + 2] * (1.0 - c * q[i + 2])) / (1.0 - c * q[i])
     return r, u
+
+
+def _reference_norm(nu, z0, beta):
+    """(2/beta) integral_0^z0 J_nu(t)^2 / t dt and its error, by QUADPACK.
+
+    The t^(2 nu - 1) endpoint factor goes to the algebraic weight, so only
+    the smooth (J_nu(t) / t^nu)^2 is sampled; below t = 1e-3 it is taken
+    from the first two series terms.  QUADPACK may flag roundoff on deep
+    wells; its own error estimate is what the callers check.
+    """
+    lead = 0.5 ** nu / math.gamma(nu + 1.0)
+
+    def smooth(t):
+        if t < 1e-3:
+            return (lead * (1.0 - 0.25 * t * t / (nu + 1.0))) ** 2
+        return (jv(nu, t) / t ** nu) ** 2
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        val, err = integrate.quad(smooth, 0.0, z0, weight="alg",
+                                  wvar=(2.0 * nu - 1.0, 0.0), epsabs=0.0,
+                                  epsrel=1e-13, limit=400)
+    return 2.0 / beta * val, 2.0 / beta * err
+
+
+def _assert_norm_close(p, s, rel_tol):
+    """normalize(p, s) gives integral u^2 = 1 by the scipy reference."""
+    ref, err = _reference_norm(s.nu, p.z0, p.beta)
+    assert err <= 0.1 * rel_tol * ref
+    assert abs(normalize(p, s).norm_c ** -2 / ref - 1.0) <= rel_tol
 
 
 # ----------------------------------------------------------- parameters
@@ -133,6 +168,16 @@ def test_spectrum_state_invariants():
     for a, b in zip(states, states[1:]):
         assert a.nu > b.nu
         assert a.energy < b.energy
+
+
+def test_spectrum_counts_just_above_each_threshold():
+    # z0 = j_{0,k} (1 + 1e-6) binds exactly k states; the shallowest has
+    # nu ~ 1e-6 .. 4e-5, below the 0.05 step of the order scan.
+    for k, j0k in enumerate(jn_zeros(0, 18), start=1):
+        z0 = float(j0k) * (1.0 + 1e-6)
+        states = spectrum(make_params(z0 * z0 / 4.0, 1.0))
+        assert len(states) == k
+        assert 0.0 < states[-1].nu < 1e-4
 
 
 def test_compute_spectrum_carries_warnings_tuple():
@@ -234,6 +279,31 @@ def test_normalize_matches_numerov_normalization():
     profile = wavefunction(p, s, r)  # norm_c = 1
     scale = float(np.dot(u_num, profile) / np.dot(profile, profile))
     assert math.isclose(abs(scale), sn.norm_c, rel_tol=1e-4)
+
+
+@pytest.mark.parametrize("z0", [10.0, 30.0, 45.0])
+def test_normalize_matches_scipy_quadrature(z0):
+    p = make_params(z0 * z0 / 4.0, 1.0)
+    for s in spectrum(p):
+        _assert_norm_close(p, s, 1e-10)
+
+
+@pytest.mark.parametrize("nu", [1e-3, 1.1e-4])
+def test_normalize_barely_bound_state(nu):
+    z0 = brentq(lambda z: jv(nu, z), 2.3, 2.5, xtol=1e-15)
+    p = make_params(z0 * z0 / 4.0, 1.0)
+    (s,) = spectrum(p)
+    assert math.isclose(s.nu, nu, rel_tol=1e-8)
+    _assert_norm_close(p, s, 1e-10)
+
+
+def test_normalize_all_states_at_envelope_edge():
+    # z0 = 60: the Bessel series is only good to ~2e-8 absolute here
+    p = make_params(900.0, 1.0)
+    states = spectrum(p)
+    assert len(states) == 19
+    for s in states:
+        _assert_norm_close(p, s, 5e-7)
 
 
 # ------------------------------------------------------------ scaling law

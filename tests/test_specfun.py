@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.special import jv
+from scipy.special import digamma as scipy_digamma
+from scipy.special import jv, y0
 
 from expwell import (
     BESSEL_Z_MAX,
@@ -20,6 +21,8 @@ from expwell import (
     PoleError,
     SolverConfig,
     bessel_j,
+    bessel_j_dnu,
+    digamma,
     find_nu_zeros,
     gamma,
     rgamma,
@@ -194,6 +197,50 @@ def test_bessel_domain_errors(nu, z):
         bessel_j(nu, z)
 
 
+# ------------------------------------------------------------- digamma
+
+def test_digamma_against_scipy():
+    xs = np.concatenate([np.geomspace(1e-4, 1.0, 200),
+                         np.linspace(1.0, 70.0, 700)])
+    for x in xs:
+        ref = float(scipy_digamma(x))
+        assert abs(digamma(float(x)) - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+def test_digamma_domain():
+    for x in (0.0, -1.5, math.nan):
+        with pytest.raises(DomainError):
+            digamma(x)
+
+
+# ------------------------------------------------------- order derivative
+
+def test_bessel_j_dnu_against_scipy_central_difference():
+    rng = np.random.default_rng(17)
+    h = 1e-5
+    for _ in range(200):
+        nu = float(rng.uniform(1e-3, 40.0))
+        z = float(rng.uniform(0.1, 45.0))
+        j, dj = bessel_j_dnu(nu, z)
+        ref = (jv(nu + h, z) - jv(nu - h, z)) / (2.0 * h)
+        assert abs(j - jv(nu, z)) < 1e-12
+        assert abs(dj - ref) < 1e-8 * max(1.0, abs(ref))
+
+
+def test_bessel_j_dnu_order_zero_closed_form():
+    # dJ_nu/dnu at nu = 0 is (pi/2) Y_0(z)
+    for z in (0.3, 2.4048, 7.0, 19.5, 44.0):
+        _, dj = bessel_j_dnu(0.0, z)
+        assert abs(dj - 0.5 * math.pi * y0(z)) < 1e-12
+
+
+@pytest.mark.parametrize("nu,z", [(-0.1, 1.0), (61.0, 1.0), (1.0, 0.0),
+                                  (1.0, 60.5)])
+def test_bessel_j_dnu_domain_errors(nu, z):
+    with pytest.raises(DomainError):
+        bessel_j_dnu(nu, z)
+
+
 # ----------------------------------------------------------- find_nu_zeros
 
 def _reference_nu_zeros(z0: float) -> list[float]:
@@ -229,8 +276,11 @@ def test_find_nu_zeros_z0_10_against_scipy():
 
 
 def test_find_nu_zeros_counts_against_scipy():
-    for z0 in (3.0, 7.5, 13.0, 26.0):
-        assert len(find_nu_zeros(z0).zeros) == len(_reference_nu_zeros(z0))
+    for z0 in (3.0, 7.5, 13.0, 26.0, 37.0, 45.0):
+        zeros = find_nu_zeros(z0).zeros
+        ref = _reference_nu_zeros(z0)
+        assert len(zeros) == len(ref)
+        assert np.max(np.abs(np.array(zeros) - ref)) < 1e-10
 
 
 def test_find_nu_zeros_ascending_and_residuals():
