@@ -3,8 +3,16 @@
 A double-double value is a pair ``(hi, lo)`` of doubles representing
 ``hi + lo`` with roughly 32 significant decimal digits.  Every helper here
 works unchanged on Python floats and on numpy arrays, because it only uses
-``+ - * /`` (IEEE-754 semantics are identical for both, so the scalar and
-vector code paths produce bit-identical results).
+``+ - * /``.  Those are correctly rounded in IEEE-754 for both, so a helper
+gives bit-identical results on floats and, element by element, on arrays.
+
+That does not make callers' scalar and array paths bit-identical.
+``specfun.bessel_j`` feeds these helpers a first term (z/2)^nu that comes
+from Python's ``**`` on scalars and from numpy's vectorized ``power`` on
+arrays; the two differ in the last bit for a few percent of arguments, and
+the series' cancellation amplifies that to ~1e-8 absolute near z = 60.
+What the array path does guarantee is batch independence: each element is
+bit-identical to the same (nu, z) evaluated in a one-element array.
 
 two_sum / two_prod are the classical Knuth and Dekker transforms; the
 splitting constant 2**27 + 1 is for binary64.

@@ -159,7 +159,8 @@ def _solver_options(f):
     f = click.option("--energy-scan-steps", type=int, default=None,
                      help="Energy scan resolution over (-V0, 0).")(f)
     f = click.option("--root-tol", type=float, default=None,
-                     help="Bisection tolerance for Bessel-order zeros.")(f)
+                     help="Absolute tolerance for Bessel-order zeros: Newton "
+                          "refinement stops at a step or bracket this small.")(f)
     f = click.option("--bracket-step", type=float, default=None,
                      help="Scan step in the Bessel order nu.")(f)
     return f
@@ -261,7 +262,8 @@ def spectrum(v0, beta, mu, hbar, bracket_step, root_tol, energy_scan_steps,
 @_potential_options
 @_output_options
 @click.option("--root-tol", type=float, default=None,
-              help="Bisection tolerance for Bessel-order zeros.")
+              help="Absolute tolerance for Bessel-order zeros: Newton "
+                   "refinement stops at a step or bracket this small.")
 @click.option("--bracket-step", type=float, default=None,
               help="Scan step in the Bessel order nu.")
 @click.option("--points", type=int, default=501, show_default=True,

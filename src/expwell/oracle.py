@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import DomainError, GridTooCoarseError
@@ -249,6 +248,10 @@ def numerov_spectrum(p: PotentialParams, g: RadialGrid | None = None,
 
 
 def _fd_eigenvalues(p: PotentialParams, g: RadialGrid, k: int) -> np.ndarray:
+    # Imported here: scipy.linalg costs ~0.3 s, which every ``import expwell``
+    # would otherwise pay, FD oracle or not.
+    from scipy.linalg import eigh_tridiagonal
+
     r = np.linspace(0.0, g.r_max, g.n_points)[1:-1]
     coeff = p.hbar ** 2 / (2.0 * p.mu * g.h ** 2)
     diag = 2.0 * coeff - p.v0 * np.exp(-p.beta * r)

@@ -184,24 +184,44 @@ def _bessel_series_scalar(nu: float, z: float) -> float:
 
 def _bessel_series_array(nu: np.ndarray, z: np.ndarray,
                          gnu: np.ndarray) -> np.ndarray:
-    half = 0.5 * z
+    """The scalar series, run on every lane of the broadcast (nu, z).
+
+    Each lane stops at its own first |t_k| <= 1e-17 |s_k|, as the scalar
+    path does, and leaves the working arrays once it has.  A 0-d nu stays
+    a Python float, so the denominator (k+1)(nu+k+1) is built once per
+    term rather than once per lane.
+    """
+    nu_b, z_b, gnu_b = np.broadcast_arrays(nu, z, gnu)
+    shape = nu_b.shape
+    # ravel gives contiguous arrays: numpy's power takes a different (not
+    # bit-identical) loop for a stride-0 exponent such as 0.5 or 2.
+    nu_f, z_f = nu_b.ravel(), z_b.ravel()
+    half = 0.5 * z_f
     with np.errstate(invalid="ignore"):
-        t0 = np.where(z == 0.0, np.where(nu == 0.0, 1.0, 0.0),
-                      half ** nu / gnu)
-    t0 = np.asarray(t0, dtype=float)
+        t0 = np.where(z_f == 0.0, np.where(nu_f == 0.0, 1.0, 0.0),
+                      half ** nu_f / gnu_b.ravel())
+    nu_w = float(nu) if nu.ndim == 0 else nu_f
     qh, ql = two_prod(half, half)
-    sh = t0.copy()
-    sl = np.zeros_like(sh)
-    th = t0.copy()
-    tl = np.zeros_like(th)
+    out = np.empty_like(t0)
+    lane = np.arange(t0.size)
+    sh, sl, th, tl = t0, np.zeros_like(t0), t0, np.zeros_like(t0)
     for k in range(_SERIES_MAX_TERMS):
-        dh, dl = _series_denominator(nu, k)
+        if lane.size == 0:
+            break
+        dh, dl = _series_denominator(nu_w, k)
         rh, rl = dd_div(qh, ql, dh, dl)
         th, tl = dd_mul(th, tl, -rh, -rl)
         sh, sl = dd_add(sh, sl, th, tl)
-        if np.all(np.abs(th) <= _SERIES_CUTOFF * np.abs(sh)):
-            break
-    return sh + sl
+        done = np.abs(th) <= _SERIES_CUTOFF * np.abs(sh)
+        if done.any():
+            out[lane[done]] = sh[done] + sl[done]
+            keep = ~done
+            lane, qh, ql, sh, sl, th, tl = (
+                a[keep] for a in (lane, qh, ql, sh, sl, th, tl))
+            if nu.ndim:
+                nu_w = nu_w[keep]
+    out[lane] = sh + sl
+    return out.reshape(shape)
 
 
 def bessel_j(nu, z):
@@ -244,8 +264,7 @@ def bessel_j(nu, z):
         gnu = np.asarray(gamma(float(nu_a) + 1.0))
     else:
         gnu = _gamma_array(nu_a + 1.0)
-    nu_b, z_b, gnu_b = np.broadcast_arrays(nu_a, z_a, gnu)
-    return _bessel_series_array(nu_b.copy(), z_b.copy(), gnu_b)
+    return _bessel_series_array(nu_a, z_a, gnu)
 
 
 def bessel_j_dnu(nu: float, z: float) -> tuple[float, float]:

@@ -182,6 +182,20 @@ def test_mellin_numeric_matches_bessel_pair(nu, y):
     assert abs(est.value - mellin_bessel_sqrt(nu, 2.0, y)) < 1e-6
 
 
+# mellin_numeric values of the Bessel pair recorded before each array lane
+# got its own series stop; that change may move them only by rounding.
+@pytest.mark.parametrize("nu,y,pinned", [
+    (0.5, 0.25, 1.7724538502212097),
+    (2.7, 0.5, 1.0000000006033023),
+    (4.3, 0.35, 0.7929303276260473),
+    (12.0, 0.25, 0.40807186578137367),
+])
+def test_mellin_numeric_bessel_pair_regression_pin(nu, y, pinned):
+    est = mellin_numeric(lambda x: bessel_j(nu, 2.0 * np.sqrt(x)), y,
+                         BESSEL_CFG)
+    assert abs(est.value - pinned) <= 1e-14 * abs(pinned)
+
+
 def test_mellin_numeric_general_a_pair_via_scipy():
     # checks mellin_bessel_closed through the x -> x^2 substitution with a
     # scipy integrand: f(t^2/4) = J_nu(a t / 2), so the asymptotic

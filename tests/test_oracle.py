@@ -1,6 +1,10 @@
 """Oracle tests: Numerov shooting, finite-difference spectra, ODE residual."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from expwell import (
     spectrum,
     wavefunction_table,
 )
+import expwell
 
 
 def _scipy_reference_energies(v0, beta):
@@ -79,6 +84,20 @@ def test_mismatch_rejects_non_negative_energy():
 def test_numerov_spectrum_empty_at_threshold():
     p = make_params(1.0, 1.0)
     assert numerov_spectrum(p).energies == ()
+
+
+def test_import_leaves_scipy_unloaded():
+    # the FD oracle imports scipy.linalg on first use, so analytic-only
+    # callers and CLI requests without oracles never pay for it
+    src = str(Path(expwell.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, expwell; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_fd_spectrum_empty_at_threshold():

@@ -165,8 +165,9 @@ def test_bessel_near_envelope_edge_absolute_accuracy():
 
 
 def test_bessel_vector_matches_scalar():
-    # the vector path may run extra series terms (all-lanes stop criterion),
-    # so agreement is to the 1e-17 term cutoff rather than bitwise
+    # both paths stop each argument at the same series term, but the first
+    # term (z/2)^nu comes from Python ** in one and numpy power in the other,
+    # so agreement is to rounding rather than bitwise
     rng = np.random.default_rng(15)
     z = rng.uniform(0.0, 30.0, size=200)
     for nu in (0.0, 0.883, 3.2, 12.5):
@@ -177,6 +178,53 @@ def test_bessel_vector_matches_scalar():
     vec = bessel_j(nu_arr, 10.0)
     scal = np.array([bessel_j(float(v), 10.0) for v in nu_arr])
     assert np.allclose(vec, scal, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("z_lo,z_hi,tol", [(0.0, 45.0, 1e-12),
+                                           (45.0, 60.0, 1e-7)])
+def test_bessel_array_path_against_scipy(z_lo, z_hi, tol):
+    # same bounds as the scalar-path tests above; scalar orders and an
+    # order array, each against a z array
+    rng = np.random.default_rng(17)
+    z = rng.uniform(z_lo, z_hi, size=400)
+    for nu in (0.0, 0.5, 3.3, 17.25, 40.0, rng.uniform(0.0, 40.0, size=400)):
+        mine = bessel_j(nu, z)
+        assert mine.shape == z.shape
+        assert np.max(np.abs(mine - jv(nu, z))) < tol
+
+
+# Mellin-node arguments whose J_4.3 value moved when a z = 60 argument
+# shared the call, under a stop rule that waited for every lane.
+_BATCH_SENSITIVE_Z = (7.705474055237735, 17.409964040097854,
+                      23.054215929277206, 32.051134236948464,
+                      35.81504715365986, 38.65938428624287)
+
+
+def test_bessel_array_lanes_independent_of_batch():
+    # each lane stops at its own series term, so its value cannot depend on
+    # which other arguments share the call
+    rng = np.random.default_rng(18)
+    z = np.concatenate([_BATCH_SENSITIVE_Z, [60.0],
+                        rng.uniform(0.0, 60.0, size=40)])
+    nu_arr = np.concatenate([np.full(len(_BATCH_SENSITIVE_Z) + 1, 4.3),
+                             rng.uniform(0.0, 40.0, size=40)])
+    for nu in (0.5, 4.3, 17.25, nu_arr):
+        batch = bessel_j(nu, z)
+        for i in range(len(z)):
+            nu_i = nu if np.ndim(nu) == 0 else nu[i:i + 1]
+            assert batch[i] == bessel_j(nu_i, z[i:i + 1])[0]
+    grid = np.arange(0.0, 45.0, 0.5)
+    batch = bessel_j(grid, 45.0)
+    for i in range(len(grid)):
+        assert batch[i] == bessel_j(grid[i:i + 1], 45.0)[0]
+
+
+def test_bessel_array_path_shape_and_zero_argument():
+    z = np.array([[0.0, 1.0], [2.0, 0.0]])
+    vals = bessel_j(np.array([[0.0], [1.5]]), z)
+    assert vals.shape == (2, 2)
+    assert vals[0, 0] == 1.0 and vals[1, 1] == 0.0
+    assert bessel_j(2.0, np.empty(0)).shape == (0,)
 
 
 def test_bessel_three_term_recurrence_property():
