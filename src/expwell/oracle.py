@@ -170,6 +170,8 @@ def _bisect_root(p: PotentialParams, g: RadialGrid, pot: list,
                  a: float, fa: float, b: float, tol: float) -> float:
     while b - a > tol:
         c = 0.5 * (a + b)
+        if c <= a or c >= b:  # no double left between a and b
+            break
         fc = _numerov_sweep_scalar(pot, g.h, float(-2.0 * p.mu * c / p.hbar ** 2))
         if fc == 0.0:
             return c

@@ -182,13 +182,19 @@ def test_mellin_numeric_matches_bessel_pair(nu, y):
     assert abs(est.value - mellin_bessel_sqrt(nu, 2.0, y)) < 1e-6
 
 
-# mellin_numeric values of the Bessel pair recorded before each array lane
-# got its own series stop; that change may move them only by rounding.
+# mellin_numeric values of the Bessel pair.  The last three are the same
+# quadrature run on scipy's jv; a change to bessel_j may move them only by
+# rounding.  Each case keeps a fixed id, the one it had under its first pin,
+# so that re-pinning a value does not rename the case.
 @pytest.mark.parametrize("nu,y,pinned", [
-    (0.5, 0.25, 1.7724538502212097),
-    (2.7, 0.5, 1.0000000006033023),
-    (4.3, 0.35, 0.7929303276260473),
-    (12.0, 0.25, 0.40807186578137367),
+    pytest.param(0.5, 0.25, 1.7724538502212097,
+                 id="0.5-0.25-1.7724538502212097"),
+    pytest.param(2.7, 0.5, 1.000000000622914,
+                 id="2.7-0.5-1.0000000006033023"),
+    pytest.param(4.3, 0.35, 0.7929303276328039,
+                 id="4.3-0.35-0.7929303276260473"),
+    pytest.param(12.0, 0.25, 0.40807186578138205,
+                 id="12.0-0.25-0.40807186578137367"),
 ])
 def test_mellin_numeric_bessel_pair_regression_pin(nu, y, pinned):
     est = mellin_numeric(lambda x: bessel_j(nu, 2.0 * np.sqrt(x)), y,

@@ -86,18 +86,36 @@ def test_numerov_spectrum_empty_at_threshold():
     assert numerov_spectrum(p).energies == ()
 
 
-def test_import_leaves_scipy_unloaded():
-    # the FD oracle imports scipy.linalg on first use, so analytic-only
-    # callers and CLI requests without oracles never pay for it
+def _run_python(code, timeout=None):
+    """stdout of a fresh interpreter running code against this expwell."""
     src = str(Path(expwell.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True,
+                          timeout=timeout).stdout
+
+
+def test_import_leaves_scipy_unloaded():
+    # the FD oracle imports scipy.linalg on first use, so analytic-only
+    # callers and CLI requests without oracles never pay for it
     code = ("import sys, expwell; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert _run_python(code).strip() == "[]"
+
+
+def test_numerov_spectrum_returns_when_energies_exceed_2_16():
+    # |E| >= 2^16: one ulp of E exceeds energy_tol = 1e-11, so bisection
+    # must stop once the midpoint equals an end of the bracket.  One grid
+    # is enough to reach it, at half the cost of the Richardson pair.
+    code = ("from expwell import make_params, numerov_spectrum; "
+            "p = make_params(137000.0, 3.8, 0.116, 1.9); "
+            "s = numerov_spectrum(p, richardson=False); "
+            "print(len(s.energies), p.z0)")
+    count, z0 = _run_python(code, timeout=60).split()
+    assert float(z0) == pytest.approx(49.4, abs=0.05)
+    assert int(count) == 15
 
 
 def test_fd_spectrum_empty_at_threshold():
