@@ -109,15 +109,13 @@ def _build_params(v0, beta, mu, hbar) -> solver.PotentialParams:
     return solver.make_params(v0, beta, mu, hbar)
 
 
-def _build_config(bracket_step, root_tol, energy_scan_steps, energy_tol,
-                  grid_points, r_max, beta) -> SolverConfig:
+def _build_config(bracket_step, root_tol, energy_tol, grid_points, r_max,
+                  beta) -> SolverConfig:
     kw = {}
     if bracket_step is not None:
         kw["bracket_step"] = bracket_step
     if root_tol is not None:
         kw["root_tol"] = root_tol
-    if energy_scan_steps is not None:
-        kw["energy_scan_steps"] = energy_scan_steps
     if energy_tol is not None:
         kw["energy_tol"] = energy_tol
     if grid_points is not None:
@@ -155,12 +153,12 @@ def _solver_options(f):
     f = click.option("--grid-points", type=int, default=None,
                      help="Oracle grid size (default 4501 Numerov, 9001 FD).")(f)
     f = click.option("--energy-tol", type=float, default=None,
-                     help="Oracle energy bisection tolerance.")(f)
-    f = click.option("--energy-scan-steps", type=int, default=None,
-                     help="Energy scan resolution over (-V0, 0).")(f)
+                     help="Absolute tolerance for oracle energies: the "
+                          "secant refinement of each level bracketed by "
+                          "node counts stops at a step this small.")(f)
     f = click.option("--root-tol", type=float, default=None,
                      help="Absolute tolerance for Bessel-order zeros: Newton "
-                          "refinement stops at a step or bracket this small.")(f)
+                          "refinement stops at a step this small.")(f)
     f = click.option("--bracket-step", type=float, default=None,
                      help="Scan step in the Bessel order nu.")(f)
     return f
@@ -186,12 +184,12 @@ def _params_dict(p: solver.PotentialParams) -> dict:
 @_potential_options
 @_solver_options
 @_output_options
-def spectrum(v0, beta, mu, hbar, bracket_step, root_tol, energy_scan_steps,
-             energy_tol, grid_points, r_max, fmt, output):
+def spectrum(v0, beta, mu, hbar, bracket_step, root_tol, energy_tol,
+             grid_points, r_max, fmt, output):
     """Compute the bound-state spectrum and oracle cross-checks."""
     p = _build_params(v0, beta, mu, hbar)
-    cfg = _build_config(bracket_step, root_tol, energy_scan_steps, energy_tol,
-                        grid_points, r_max, beta)
+    cfg = _build_config(bracket_step, root_tol, energy_tol, grid_points,
+                        r_max, beta)
     try:
         result = solver.compute_spectrum(p, cfg)
         states = list(result.states)
@@ -263,7 +261,7 @@ def spectrum(v0, beta, mu, hbar, bracket_step, root_tol, energy_scan_steps,
 @_output_options
 @click.option("--root-tol", type=float, default=None,
               help="Absolute tolerance for Bessel-order zeros: Newton "
-                   "refinement stops at a step or bracket this small.")
+                   "refinement stops at a step this small.")
 @click.option("--bracket-step", type=float, default=None,
               help="Scan step in the Bessel order nu.")
 @click.option("--points", type=int, default=501, show_default=True,
@@ -276,7 +274,7 @@ def wavefunction(v0, beta, mu, hbar, bracket_step, root_tol, points,
                  table_r_max, state_index, fmt, output):
     """Tabulate the normalized u(r) (and R = u/r) of one bound state."""
     p = _build_params(v0, beta, mu, hbar)
-    cfg = _build_config(bracket_step, root_tol, None, None, None, None, beta)
+    cfg = _build_config(bracket_step, root_tol, None, None, None, beta)
     if points < 2:
         raise click.UsageError("--points must be at least 2")
     try:

@@ -14,15 +14,14 @@ class SolverConfig:
     bracket_step : float
         Step of the sign-change scan in the Bessel order nu.
     root_tol : float
-        Absolute tolerance for zeros in nu: Newton refinement stops when
-        its step or bracket is this small, and zeros within it of nu = 0
-        are the non-normalizable threshold state.
+        Absolute tolerance for zeros in nu: Newton refinement stops at a
+        step this small, and zeros within it of nu = 0 are the
+        non-normalizable threshold state.
     residual_tol : float
         Largest |J_nu(z0)| accepted for a quantized state.
-    energy_scan_steps : int
-        Number of energy samples between -V0 and 0 in the oracle scan.
     energy_tol : float
-        Absolute bisection tolerance for oracle eigenvalues.
+        Absolute tolerance for oracle eigenvalues: the secant refinement
+        of each count-bracketed level stops at a step this small.
     r_max_factor : float
         Default radial extent of oracle grids, in units of 1/beta.
     numerov_points : int
@@ -34,7 +33,6 @@ class SolverConfig:
     bracket_step: float = 0.05
     root_tol: float = 1e-12
     residual_tol: float = 1e-8
-    energy_scan_steps: int = 500
     energy_tol: float = 1e-11
     r_max_factor: float = 45.0
     numerov_points: int = 4501
@@ -45,8 +43,6 @@ class SolverConfig:
             raise ValueError("bracket_step must be positive")
         if self.root_tol <= 0 or self.energy_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.energy_scan_steps < 2:
-            raise ValueError("energy_scan_steps must be at least 2")
 
     def describe(self) -> list[tuple[str, object]]:
         """(name, value) pairs of every knob, for reproducibility dumps."""

@@ -4,21 +4,27 @@ Two methods solve u'' - alpha^2 u + gamma^2 exp(-beta r) u = 0 directly:
 
 * Numerov shooting: integrate inward from r_max (the decaying solution is
   integrated against its growing companion, which is the stable direction)
-  and locate energies where u(0) = 0.
+  and locate energies where u(0) = 0.  The node count of each sweep is the
+  number of levels below its energy, so every level gets a bracket of its
+  own by bisection on the count, then secant steps refine it.
 * Finite differences: symmetric tridiagonal discretization with Dirichlet
-  ends, lowest eigenvalues via LAPACK's Sturm-count bisection.
+  ends.  The same shooting recurrence gives the matrix's Sturm count, so
+  its levels are bracketed and refined in the same way.
 
 Both support Richardson extrapolation across grids h and h/2 (Numerov has
-O(h^4) leading error, the finite-difference Laplacian O(h^2)).
+O(h^4) leading error, the finite-difference Laplacian O(h^2)), pair the
+two grids' levels by index, and report each level's gap |E_h - E_{h/2}|.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._roots import refine_root
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import DomainError, GridTooCoarseError
 from .solver import PotentialParams, WavefunctionTable
@@ -34,6 +40,16 @@ __all__ = [
 ]
 
 _RESCALE_LIMIT = 1e250
+_RESCALE_BY = 2.0 ** -800
+# An inward sweep starts where the solution it follows has grown by
+# e^_FORGET from the turning point (WKB estimate); see _swept.
+_FORGET = 25.0
+# The h/2 grid brackets each level by stepping out from its h-grid value,
+# first by _STEP_OUT |E|, then _STEP_GROWTH times farther each step; the
+# two grids' levels differ by 1e-9 to 3e-4 relative on the default Numerov
+# grids, and by 4e-6 to 3e-2 on the finite-difference ones.
+_STEP_OUT = 1e-6
+_STEP_GROWTH = 16.0
 
 
 @dataclass(frozen=True)
@@ -60,9 +76,15 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class OracleSpectrum:
-    """Negative eigenvalues found by one oracle, ascending."""
+    """Negative eigenvalues found by one oracle, ascending.
+
+    ``errors`` holds the Richardson gap |E_h - E_{h/2}| of each level, or
+    None where the level has no partner on the other grid (always None
+    without Richardson extrapolation).
+    """
 
     energies: tuple[float, ...]
+    errors: tuple[float | None, ...]
     method: str  # "numerov" or "finite_difference"
     grid: RadialGrid
     richardson_applied: bool
@@ -72,6 +94,8 @@ class OracleSpectrum:
             raise ValueError("OracleSpectrum: energies must be negative")
         if list(self.energies) != sorted(self.energies):
             raise ValueError("OracleSpectrum: energies must ascend")
+        if len(self.errors) != len(self.energies):
+            raise ValueError("OracleSpectrum: one error per energy")
 
 
 def default_grid(p: PotentialParams, kind: str = "numerov",
@@ -85,69 +109,108 @@ def default_grid(p: PotentialParams, kind: str = "numerov",
     return RadialGrid(r_max=cfg.r_max_factor / p.beta, n_points=n)
 
 
-def _alpha2(p: PotentialParams, E) -> np.ndarray:
-    return -2.0 * p.mu * np.asarray(E, dtype=float) / p.hbar ** 2
-
-
-def _numerov_sweep_vec(pot: np.ndarray, h: float,
-                       alpha2: np.ndarray) -> np.ndarray:
-    """u(0)/max|u| for a vector of alpha^2 values (inward integration)."""
-    n = len(pot)
-    h2_12 = h * h / 12.0
-    alpha = np.sqrt(alpha2)
-    u_next = np.ones_like(alpha2)
-    u_curr = np.exp(alpha * h)
-    umax = np.maximum(np.abs(u_next), np.abs(u_curr))
-    q_next = alpha2 - pot[n - 1]
-    q_curr = alpha2 - pot[n - 2]
-    for i in range(n - 3, -1, -1):
-        q_prev = alpha2 - pot[i]
-        u_prev = (2.0 * u_curr * (1.0 + 5.0 * h2_12 * q_curr)
-                  - u_next * (1.0 - h2_12 * q_next)) / (1.0 - h2_12 * q_prev)
-        u_next = u_curr
-        u_curr = u_prev
-        q_next = q_curr
-        q_curr = q_prev
-        umax = np.maximum(umax, np.abs(u_curr))
-        if (i & 255) == 0 and np.any(umax > _RESCALE_LIMIT):
-            s = np.where(umax > _RESCALE_LIMIT, umax, 1.0)
-            u_next = u_next / s
-            u_curr = u_curr / s
-            umax = umax / s
-    return u_curr / umax
-
-
-def _numerov_sweep_scalar(pot: list, h: float, alpha2: float) -> float:
-    """Scalar twin of the vector sweep; identical operation order."""
-    n = len(pot)
-    h2_12 = h * h / 12.0
-    alpha = math.sqrt(alpha2)
-    u_next = 1.0
-    u_curr = math.exp(alpha * h)
-    umax = max(abs(u_next), abs(u_curr))
-    q_next = alpha2 - pot[n - 1]
-    q_curr = alpha2 - pot[n - 2]
-    for i in range(n - 3, -1, -1):
-        q_prev = alpha2 - pot[i]
-        u_prev = (2.0 * u_curr * (1.0 + 5.0 * h2_12 * q_curr)
-                  - u_next * (1.0 - h2_12 * q_next)) / (1.0 - h2_12 * q_prev)
-        u_next = u_curr
-        u_curr = u_prev
-        q_next = q_curr
-        q_curr = q_prev
-        au = abs(u_curr)
-        if au > umax:
-            umax = au
-        if (i & 255) == 0 and umax > _RESCALE_LIMIT:
-            u_next /= umax
-            u_curr /= umax
-            umax = 1.0
-    return u_curr / umax
-
-
 def _potential_samples(p: PotentialParams, g: RadialGrid) -> np.ndarray:
     r = np.linspace(0.0, g.r_max, g.n_points)
     return p.gamma ** 2 * np.exp(-p.beta * r)
+
+
+def _swept(pot: np.ndarray, h: float, alpha2: float) -> np.ndarray:
+    """The part of the grid an inward sweep at alpha^2 needs.
+
+    Beyond the turning point the sweep follows the solution that grows
+    inward, and whatever else its start values hold is damped relative to
+    it by the square of that growth.  So the sweep can start where the
+    growth to the turning point, exp(integral of sqrt(q) dr), reaches
+    e^25: what it leaves out changes u by about e^-50 relative, far below
+    rounding.  On 2400 energies at V0 = 25, 287 and 900 the mismatch moved
+    by at most 1.7e-15 and no node count changed, while the sweeps covered
+    14% of the grid on average.  Shallow levels, whose growth never gets
+    there, keep the whole grid.
+    """
+    growth = h * np.cumsum(np.sqrt(np.maximum(alpha2 - pot, 0.0)))
+    return pot[:int(np.searchsorted(growth, _FORGET)) + 2]
+
+
+def _inward(v: np.ndarray, inv_w: np.ndarray, f: float,
+            d: float) -> tuple[int, float]:
+    """Node count and u(0)/max|u| of a three-term recurrence run inward.
+
+    F_(i-1) - 2 F_i + F_(i+1) = v_i F_i for i = n-2, ..., 1, from
+    F_(n-2) = f > 0 and F_(n-2) - F_(n-1) = d > 0, with u = F inv_w.  It
+    runs in summed form, on the differences D_i = F_(i-1) - F_i, which
+    keeps the rounding of 2 F_i out of the recurrence.  The node count is
+    the number of sign changes of F down to i = 0, the last interval
+    included, so sign(u(0)) = (-1)^count.  Past _RESCALE_LIMIT, F and D
+    are scaled by a power of two, which changes no bit of the ratio.
+
+    While v_i >= 0 (the classically forbidden outer region, v having the
+    sign of q) D and F only grow, and so does u: for Numerov,
+    w_(i-1) (u_(i-1) - u_i) = w_(i+1) (u_i - u_(i+1))
+    + (h^2/12) u_i (10 q_i + q_(i+1) + q_(i-1)), where only the step out
+    of the region can have q_(i-1) < 0.  That stretch runs without the
+    node test, and its largest |u| is one of its last two.
+    """
+    v = v[-2:0:-1]
+    negative_v = np.flatnonzero(v < 0.0)
+    m = int(negative_v[0]) if len(negative_v) else len(v)
+    for vi in v[:m].tolist():
+        d += vi * f
+        f += d
+        if f > _RESCALE_LIMIT:
+            d *= _RESCALE_BY
+            f *= _RESCALE_BY
+    umax = max(f * float(inv_w[-2 - m]), (f - d) * float(inv_w[-1 - m]))
+    nodes = 0
+    negative = False
+    for vi, inv in zip(v[m:].tolist(), inv_w[-3 - m::-1].tolist()):
+        d += vi * f
+        f += d
+        if (f < 0.0) != negative:
+            negative = not negative
+            nodes += 1
+        au = abs(f * inv)
+        if au > umax:
+            umax = au
+            if au > _RESCALE_LIMIT:
+                d *= _RESCALE_BY
+                f *= _RESCALE_BY
+                umax *= _RESCALE_BY
+    return nodes, f * float(inv_w[0]) / umax
+
+
+def _numerov_sweep(pot: np.ndarray, h: float,
+                   alpha2: float) -> tuple[int, float]:
+    """Node count and u(0)/max|u| of the inward Numerov solution.
+
+    Numerov's scheme for u'' = q u, q = alpha^2 - gamma^2 exp(-beta r), is
+    F_(i-1) - 2 F_i + F_(i+1) = (h^2 q_i / w_i) F_i in F = w u, with
+    w = 1 - h^2 q / 12 (B. R. Johnson, J. Chem. Phys. 69, 4678 (1978)).
+    Run in summed form, its roots lie within an ulp or two of those of
+    an extended-precision sweep.  It starts from the decaying exponential,
+    u = 1 at r_max (or where ``_swept`` ends the grid) and exp(alpha h)
+    one step in.  While h^2 gamma^2 < 12,
+    w > 0, so u and F change sign together, and the node count is the
+    number of levels below E on the grid.
+    """
+    q = alpha2 - _swept(pot, h, alpha2)
+    w = 1.0 - (h * h / 12.0) * q
+    inv_w = 1.0 / w
+    f = float(w[-2]) * math.exp(math.sqrt(alpha2) * h)
+    return _inward((h * h) * q * inv_w, inv_w, f, f - float(w[-1]))
+
+
+def _fd_sweep(pot: np.ndarray, h: float, alpha2: float) -> tuple[int, float]:
+    """Node count and u(0)/max|u| for the finite-difference matrix.
+
+    The 3-point Laplacian gives u_(i-1) - 2 u_i + u_(i+1) = h^2 q_i u_i on
+    the interior, with u(r_max) = 0 (or 0 where ``_swept`` ends the grid);
+    u one step in is 1.  u(0) is then
+    det(H - E) up to a positive factor, and the node count is the number
+    of eigenvalues of H below E: the signs of u are those of the leading
+    minors of H - E, its Sturm sequence.
+    """
+    pot = _swept(pot, h, alpha2)
+    return _inward((h * h) * (alpha2 - pot), np.ones_like(pot), 1.0, 1.0)
 
 
 def numerov_mismatch(p: PotentialParams, E, g: RadialGrid):
@@ -155,137 +218,137 @@ def numerov_mismatch(p: PotentialParams, E, g: RadialGrid):
 
     Zero crossings of E -> mismatch are the eigenvalues.  Intermediate
     overflow is handled by rescaling (the returned ratio is unaffected).
-    Accepts a scalar E or an array of energies.
+    Accepts a scalar E or an array of energies, each swept on its own.
     """
     E_a = np.asarray(E, dtype=float)
     if not np.all(E_a < 0.0):
         raise DomainError("numerov_mismatch: E must be negative")
     pot = _potential_samples(p, g)
+    alpha2 = -2.0 * p.mu * E_a / p.hbar ** 2
+    mism = np.array([_numerov_sweep(pot, g.h, a2)[1]
+                     for a2 in alpha2.ravel().tolist()])
     if np.isscalar(E) or E_a.ndim == 0:
-        return _numerov_sweep_scalar(pot.tolist(), g.h, float(_alpha2(p, E_a)))
-    return _numerov_sweep_vec(pot, g.h, _alpha2(p, E_a))
+        return float(mism[0])
+    return mism.reshape(E_a.shape)
 
 
-def _bisect_root(p: PotentialParams, g: RadialGrid, pot: list,
-                 a: float, fa: float, b: float, tol: float) -> float:
-    while b - a > tol:
-        c = 0.5 * (a + b)
-        if c <= a or c >= b:  # no double left between a and b
-            break
-        fc = _numerov_sweep_scalar(pot, g.h, float(-2.0 * p.mu * c / p.hbar ** 2))
-        if fc == 0.0:
-            return c
-        if fa * fc < 0.0:
-            b = c
-        else:
-            a, fa = c, fc
-    return 0.5 * (a + b)
+def _levels(p: PotentialParams, g: RadialGrid, sweep, tol: float,
+            guesses=()) -> list[float]:
+    """Every level below E = 0 of one discretization on grid g, ascending.
 
-
-def _scan_roots(p: PotentialParams, g: RadialGrid,
-                cfg: SolverConfig) -> list[float]:
+    ``sweep(pot, h, alpha^2)`` gives the node count, which is the number
+    of levels below E, and the mismatch, whose sign is (-1)^count.  The
+    count at E = 0 is the number of levels.  Level k is bracketed by two
+    energies with counts k and k + 1: bisection on the count, in alpha
+    (where the levels are about evenly spaced), over the energies probed
+    so far.  Where ``guesses[k]`` is given, the bracket is first sought by
+    stepping out from it.  The mismatch changes sign across the bracket,
+    and ``refine_root`` takes secant steps to ``tol``.
+    """
     pot = _potential_samples(p, g)
-    pot_list = pot.tolist()
-    # Scan the window (-V0, 0) on a grid uniform in alpha = sqrt(-2 mu E)/
-    # hbar rather than in E: the spacing near E = 0 is then ~V0/steps^2, so
-    # barely-bound states (which a uniform E grid of the same size would
-    # step right over) still produce a bracket.
-    alphas = np.linspace(p.gamma, 0.0, cfg.energy_scan_steps + 2)[1:-1]
-    energies = -(p.hbar * alphas) ** 2 / (2.0 * p.mu)
-    mism = _numerov_sweep_vec(pot, g.h, _alpha2(p, energies))
-    brackets: list[tuple[float, float, float]] = []
-    for i in range(len(energies) - 1):
-        if mism[i] == 0.0:
-            brackets.append((float(energies[i]), 0.0, float(energies[i])))
-        elif mism[i] * mism[i + 1] < 0.0:
-            brackets.append((float(energies[i]), float(mism[i]),
-                             float(energies[i + 1])))
-    # Degenerate double crossings inside one scan cell leave no sign change
-    # but a near-zero dip; trisect such cells once to expose the brackets.
-    scale = float(np.max(np.abs(mism)))
-    for i in range(1, len(energies) - 1):
-        if (abs(mism[i]) < 1e-5 * scale
-                and mism[i - 1] * mism[i] > 0.0
-                and mism[i] * mism[i + 1] > 0.0):
-            sub = np.linspace(energies[i - 1], energies[i + 1], 7)
-            msub = _numerov_sweep_vec(pot, g.h, _alpha2(p, sub))
-            for j in range(len(sub) - 1):
-                if msub[j] * msub[j + 1] < 0.0:
-                    brackets.append((float(sub[j]), float(msub[j]),
-                                     float(sub[j + 1])))
+    to_alpha2 = 2.0 * p.mu / p.hbar ** 2
+    # (E, node count, mismatch), ascending in E and so in count.  At
+    # E = -V0, q >= 0 on the whole grid, so u grows monotonically inward:
+    # no node, and u(0) is the largest |u|.
+    probes = [(-p.v0, 0, 1.0)]
+
+    def probe(e: float) -> int:
+        count, mism = sweep(pot, g.h, -to_alpha2 * e)
+        bisect.insort(probes, (e, count, mism))
+        return count
+
+    def mismatch(e: float):
+        return sweep(pot, g.h, -to_alpha2 * e)[1], None
+
+    n_levels = probe(0.0)
     roots = []
-    for a, fa, b in brackets:
-        if a == b:
-            roots.append(a)
-        else:
-            roots.append(_bisect_root(p, g, pot_list, a, fa, b,
-                                      cfg.energy_tol))
-    return sorted(roots)
+    step_out = _STEP_OUT
+    for k in range(n_levels):
+        if k < len(guesses):
+            guess = guesses[k]
+            up = probe(guess) <= k
+            d = step_out * abs(guess) + tol
+            while True:
+                e = guess + d if up else guess - d
+                if not -p.v0 < e < 0.0 or (probe(e) > k) == up:
+                    break
+                d *= _STEP_GROWTH
+        while True:
+            lo = max(q for q in probes if q[1] <= k)
+            hi = min(q for q in probes if q[1] > k)
+            if lo[1] == k and hi[1] == k + 1:
+                break
+            alpha = 0.5 * (math.sqrt(-to_alpha2 * lo[0])
+                           + math.sqrt(-to_alpha2 * hi[0]))
+            e = -alpha * alpha / to_alpha2
+            if not lo[0] < e < hi[0]:
+                break
+            probe(e)
+        roots.append(refine_root(mismatch, lo[0], hi[0], lo[2], hi[2], tol))
+        if k < len(guesses):
+            # The grids' relative gap grows with the level: the next
+            # level steps out from twice this one's.
+            step_out = max(_STEP_OUT, 2.0 * abs(roots[-1] / guess - 1.0))
+    return roots
+
+
+def _spectrum(p: PotentialParams, g: RadialGrid, sweep, tol: float,
+              richardson: bool, gain: float, method: str) -> OracleSpectrum:
+    """Levels on grid g; with ``richardson``, combined with the h/2 grid's.
+
+    Each h/2 level is bracketed around its h-grid partner, paired with it
+    by index, and combined as (gain E_{h/2} - E_h)/(gain - 1), with the
+    gap |E_h - E_{h/2}| as its error.  A level only the h/2 grid finds
+    keeps its value and gets None.
+    """
+    coarse = _levels(p, g, sweep, tol)
+    if richardson:
+        fine = _levels(p, g.refined(), sweep, tol, coarse)
+        levels = [((gain * ef - ec) / (gain - 1.0), abs(ec - ef))
+                  for ec, ef in zip(coarse, fine)]
+        levels += [(ef, None) for ef in fine[len(coarse):]]
+    else:
+        levels = [(e, None) for e in coarse]
+    kept = sorted((lv for lv in levels if lv[0] < 0.0), key=lambda lv: lv[0])
+    return OracleSpectrum(energies=tuple(e for e, _ in kept),
+                          errors=tuple(err for _, err in kept),
+                          method=method, grid=g, richardson_applied=richardson)
 
 
 def numerov_spectrum(p: PotentialParams, g: RadialGrid | None = None,
                      cfg: SolverConfig = DEFAULT_CONFIG,
                      richardson: bool = True) -> OracleSpectrum:
-    """Eigenvalues from Numerov shooting over the scan window (-V0, 0).
+    """Eigenvalues from Numerov shooting, bracketed by node counts.
 
-    With ``richardson`` the roots are recomputed on the h/2 grid and
-    combined as (16 E_{h/2} - E_h)/15, cancelling the O(h^4) error.
+    With ``richardson`` the levels are recomputed on the h/2 grid and
+    combined as (16 E_{h/2} - E_h)/15, cancelling the O(h^4) error;
+    ``errors`` holds |E_h - E_{h/2}|.
     """
     if g is None:
         g = default_grid(p, "numerov", cfg)
-    roots = _scan_roots(p, g, cfg)
-    if richardson:
-        fine = _scan_roots(p, g.refined(), cfg)
-        extrapolated = []
-        for ef in fine:
-            partner = min(roots, key=lambda e: abs(e - ef)) if roots else None
-            if partner is not None and abs(partner - ef) <= 0.1 * abs(ef) + 1e-6:
-                extrapolated.append((16.0 * ef - partner) / 15.0)
-            else:
-                extrapolated.append(ef)  # coarse grid missed this root
-        roots = extrapolated
-    energies = tuple(e for e in sorted(roots) if e < 0.0)
-    return OracleSpectrum(energies=energies, method="numerov", grid=g,
-                          richardson_applied=richardson)
-
-
-def _fd_eigenvalues(p: PotentialParams, g: RadialGrid, k: int) -> np.ndarray:
-    # Imported here: scipy.linalg costs ~0.3 s, which every ``import expwell``
-    # would otherwise pay, FD oracle or not.
-    from scipy.linalg import eigh_tridiagonal
-
-    r = np.linspace(0.0, g.r_max, g.n_points)[1:-1]
-    coeff = p.hbar ** 2 / (2.0 * p.mu * g.h ** 2)
-    diag = 2.0 * coeff - p.v0 * np.exp(-p.beta * r)
-    off = np.full(len(r) - 1, -coeff)
-    k = min(k, len(r))
-    return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
-                            eigvals_only=True)
+    if g.h * g.h * p.gamma ** 2 >= 12.0:
+        raise GridTooCoarseError(
+            "numerov_spectrum: need h^2 gamma^2 < 12 for node counting")
+    return _spectrum(p, g, _numerov_sweep, cfg.energy_tol, richardson, 16.0,
+                     "numerov")
 
 
 def fd_spectrum(p: PotentialParams, g: RadialGrid | None = None,
-                k: int = 10, cfg: SolverConfig = DEFAULT_CONFIG,
+                cfg: SolverConfig = DEFAULT_CONFIG,
                 richardson: bool = True) -> OracleSpectrum:
-    """k lowest finite-difference eigenvalues; keeps the negative ones.
+    """Every finite-difference eigenvalue in (-V0, 0).
 
-    The discretized Hamiltonian -(hbar^2/2mu) u'' + V u with u(0) =
-    u(r_max) = 0 is a symmetric tridiagonal matrix; its lowest eigenvalues
-    come from bisection on the Sturm sequence (LAPACK ?stebz via scipy).
+    The discretized Hamiltonian H = -(hbar^2/2mu) u'' + V u with u(0) =
+    u(r_max) = 0 is a symmetric tridiagonal matrix.  Its eigenvalues come
+    from its Sturm sequence (``_fd_sweep``), bracketed by count and
+    refined like the Numerov levels.  With ``richardson`` they are
+    combined with the h/2 grid's as (4 E_{h/2} - E_h)/3; ``errors`` holds
+    |E_h - E_{h/2}|.
     """
-    if k < 1:
-        raise DomainError("fd_spectrum: k must be at least 1")
     if g is None:
         g = default_grid(p, "fd", cfg)
-    e_h = _fd_eigenvalues(p, g, k)
-    if richardson:
-        e_h2 = _fd_eigenvalues(p, g.refined(), k)
-        n = min(len(e_h), len(e_h2))
-        vals = (4.0 * e_h2[:n] - e_h[:n]) / 3.0
-    else:
-        vals = e_h
-    energies = tuple(float(e) for e in np.sort(vals) if e < 0.0)
-    return OracleSpectrum(energies=energies, method="finite_difference",
-                          grid=g, richardson_applied=richardson)
+    return _spectrum(p, g, _fd_sweep, cfg.energy_tol, richardson, 4.0,
+                     "finite_difference")
 
 
 def ode_residual(p: PotentialParams, table: WavefunctionTable,

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._roots import refine_root
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import DomainError, GammaOverflowError, PoleError
 
@@ -284,6 +285,10 @@ def _miller_array(nu, z: np.ndarray) -> np.ndarray:
     return f * _leading_term(nu, z) / (f + tail)
 
 
+def _is_scalar(x) -> bool:
+    return np.isscalar(x) or getattr(x, "ndim", 1) == 0
+
+
 def bessel_j(nu, z):
     """Bessel function of the first kind, real order nu.
 
@@ -308,19 +313,24 @@ def bessel_j(nu, z):
         Outside the [0, 60] x [0, 60] envelope of the model (see
         ``BESSEL_NU_MAX``).
     """
-    nu_scalar = np.isscalar(nu) or getattr(nu, "ndim", 1) == 0
-    z_scalar = np.isscalar(z) or getattr(z, "ndim", 1) == 0
-    nu_a = np.asarray(nu, dtype=float)
-    z_a = np.asarray(z, dtype=float)
-    if not (np.all(nu_a >= 0.0) and np.all(nu_a <= BESSEL_NU_MAX)):
-        raise DomainError(f"bessel_j: order outside [0, {BESSEL_NU_MAX:g}]")
-    if not (np.all(z_a >= 0.0) and np.all(z_a <= BESSEL_Z_MAX)):
-        raise DomainError(f"bessel_j: argument outside [0, {BESSEL_Z_MAX:g}]")
-    if nu_scalar and z_scalar:
-        nu_f, z_f = float(nu_a), float(z_a)
+    order_error = f"bessel_j: order outside [0, {BESSEL_NU_MAX:g}]"
+    argument_error = f"bessel_j: argument outside [0, {BESSEL_Z_MAX:g}]"
+    if _is_scalar(nu) and _is_scalar(z):
+        # Plain-float checks: numpy ones on 0-d arrays cost a third of a call.
+        nu_f, z_f = float(nu), float(z)
+        if not 0.0 <= nu_f <= BESSEL_NU_MAX:
+            raise DomainError(order_error)
+        if not 0.0 <= z_f <= BESSEL_Z_MAX:
+            raise DomainError(argument_error)
         if z_f < _SERIES_Z:
             return float(_series_j(nu_f, z_f))
         return _miller_pair(nu_f, z_f)[0]
+    nu_a = np.asarray(nu, dtype=float)
+    z_a = np.asarray(z, dtype=float)
+    if not (np.all(nu_a >= 0.0) and np.all(nu_a <= BESSEL_NU_MAX)):
+        raise DomainError(order_error)
+    if not (np.all(z_a >= 0.0) and np.all(z_a <= BESSEL_Z_MAX)):
+        raise DomainError(argument_error)
     nu_b, z_b = np.broadcast_arrays(nu_a, z_a)
     z_f = z_b.ravel()
     out = np.empty_like(z_f)
@@ -389,49 +399,17 @@ class OrderZeroList:
             raise ValueError("OrderZeroList: zeros outside (0, ceiling]")
 
 
-def _refine_zero(z0: float, a: float, b: float, fa: float, fb: float,
-                 tol: float) -> float:
-    """Zero of nu -> J_nu(z0) in a sign-change bracket [a, b].
-
-    Newton steps from the secant point, with the derivative in the order
-    from ``bessel_j_dnu``; each evaluation shrinks the bracket.  As in the
-    classic safeguarded Newton (Press et al., Numerical Recipes, rtsafe), a
-    step that leaves the bracket, or that is not at most half the step two
-    iterations back, is replaced by bisection, which bounds the number of
-    evaluations.  Returns the Newton update once the step is within
-    ``tol``: on 2400 depths z0 in [0.5, 60] that took 2 or 3 evaluations
-    per zero, and the bracket never closed first.
-    """
-    x = a - fa * (b - a) / (fb - fa)
-    step = older_step = b - a
-    while True:
-        j, dj = bessel_j_dnu(x, z0)
-        if (j < 0.0) == (fa < 0.0):
-            a, fa = x, j
-        else:
-            b = x
-        newton = j / dj if dj != 0.0 else math.inf
-        if abs(newton) <= tol:
-            return x - newton
-        if b - a <= tol:
-            return x
-        if a < x - newton < b and abs(newton) <= 0.5 * abs(older_step):
-            older_step, step = step, newton
-            x -= newton
-        else:
-            older_step, step = step, 0.5 * (b - a)
-            x = a + step
-
-
 def find_nu_zeros(z0: float, cfg: SolverConfig = DEFAULT_CONFIG) -> OrderZeroList:
     """Scan nu in [0, z0] for zeros of nu -> J_nu(z0).
 
     Sign changes on a grid with step ``cfg.bracket_step``, starting at
-    nu = 0, are refined by safeguarded Newton steps (``_refine_zero``) to
-    ``cfg.root_tol``.  A zero within ``root_tol`` of 0 is the
-    non-normalizable nu = 0 threshold state and is not returned.  Returns
-    an empty list when z0 is below the first zero of J_0 (~2.4048): no
-    order can then satisfy the quantization condition.
+    nu = 0, are refined to ``cfg.root_tol`` by safeguarded Newton steps,
+    with the derivative in the order from ``bessel_j_dnu``: on 2400 depths
+    z0 in [0.5, 60] that took 2 or 3 evaluations per zero.  A zero within
+    ``root_tol`` of 0 is the non-normalizable nu = 0 threshold state and
+    is not returned.  Returns an empty list when z0 is below the first
+    zero of J_0 (~2.4048): no order can then satisfy the quantization
+    condition.
     """
     z0 = float(z0)
     if not z0 > 0.0:  # also rejects NaN
@@ -442,6 +420,11 @@ def find_nu_zeros(z0: float, cfg: SolverConfig = DEFAULT_CONFIG) -> OrderZeroLis
     grid = np.arange(0.0, z0 + 0.5 * step, step)
     grid = grid[grid <= min(z0, BESSEL_NU_MAX)]
     vals = np.atleast_1d(bessel_j(grid, z0))
+
+    def newton(nu):
+        j, dj = bessel_j_dnu(nu, z0)
+        return j, (j / dj if dj != 0.0 else math.inf)
+
     zeros: list[float] = []
     for i in range(len(grid) - 1):
         a, b = float(grid[i]), float(grid[i + 1])
@@ -449,7 +432,7 @@ def find_nu_zeros(z0: float, cfg: SolverConfig = DEFAULT_CONFIG) -> OrderZeroLis
         if fa == 0.0:
             zeros.append(a)
         elif fa * fb < 0.0:
-            zeros.append(_refine_zero(z0, a, b, fa, fb, cfg.root_tol))
+            zeros.append(refine_root(newton, a, b, fa, fb, cfg.root_tol))
     if float(vals[-1]) == 0.0:
         zeros.append(float(grid[-1]))
     zeros = [nu for nu in zeros if nu > cfg.root_tol]

@@ -172,7 +172,7 @@ def test_verify_quick_passes_and_prints_defaults(runner):
     res = runner.invoke(main, ["verify", "--quick"])
     assert res.exit_code == 0
     assert "bracket_step = 0.05" in res.output
-    assert "energy_scan_steps = 500" in res.output
+    assert "energy_tol = 1e-11" in res.output
     assert res.output.count("PASS") >= 8
     assert "FAIL" not in res.output
 

@@ -26,6 +26,7 @@ from expwell import (
     wavefunction_table,
 )
 import expwell
+from expwell import oracle
 
 
 def _scipy_reference_energies(v0, beta):
@@ -98,8 +99,7 @@ def _run_python(code, timeout=None):
 
 
 def test_import_leaves_scipy_unloaded():
-    # the FD oracle imports scipy.linalg on first use, so analytic-only
-    # callers and CLI requests without oracles never pay for it
+    # expwell never imports scipy: only the test references use it
     code = ("import sys, expwell; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert _run_python(code).strip() == "[]"
@@ -135,10 +135,96 @@ def test_numerov_spectrum_matches_reference_v25():
 def test_fd_spectrum_matches_reference_v25():
     p = make_params(25.0, 1.0)
     ref = _scipy_reference_energies(25.0, 1.0)
-    got = fd_spectrum(p, k=5).energies
+    got = fd_spectrum(p).energies
     assert len(got) == 3
     for a, b in zip(ref, got):
         assert abs(a - b) / abs(a) <= 1e-5
+
+
+def test_fd_spectrum_counts_every_level():
+    # z0 = 33.9 (11 levels) and z0 = 60 (19 levels): more than the ten
+    # lowest eigenvalues that FD once returned
+    for v0, n_levels in ((287.0, 11), (900.0, 19)):
+        p = make_params(v0, 1.0)
+        assert len(spectrum(p)) == n_levels
+        assert len(fd_spectrum(p).energies) == n_levels
+
+
+def test_numerov_spectrum_keeps_barely_bound_top_level():
+    # nu = 0.068: the top level sits at E = -1.15e-3, just below the E = 0
+    # end of the count bracket
+    p = make_params(287.0, 1.0)
+    analytic = sorted(s.energy for s in spectrum(p))
+    got = numerov_spectrum(p).energies
+    assert len(got) == len(analytic) == 11
+    assert analytic[-1] == pytest.approx(-1.1472e-3, rel=1e-4)
+    assert abs(got[-1] - analytic[-1]) <= 1e-6 * abs(analytic[-1])
+
+
+def test_numerov_spectrum_rejects_grid_too_coarse_to_count():
+    # h^2 gamma^2 >= 12 lets 1 - h^2 q / 12 change sign, and node counts
+    # stop counting levels
+    p = make_params(900.0, 1.0)
+    with pytest.raises(GridTooCoarseError):
+        numerov_spectrum(p, RadialGrid(45.0, 101))
+
+
+def test_numerov_spectrum_sweep_budget(monkeypatch):
+    # count brackets and secant steps: 32 sweeps here, against 190 scalar
+    # bisection sweeps plus two 500-energy scans before
+    calls = []
+    sweep = oracle._numerov_sweep
+    monkeypatch.setattr(oracle, "_numerov_sweep",
+                        lambda *a: calls.append(a) or sweep(*a))
+    assert len(numerov_spectrum(make_params(25.0, 1.0)).energies) == 3
+    assert len(calls) <= 60
+
+
+def test_node_count_is_levels_below_energy():
+    # the count bracketing rests on it: sign changes of the inward solution
+    # down to r = 0 count the levels below E, and sign(u(0)) = (-1)^count
+    p = make_params(25.0, 1.0)
+    for kind, sweep, solve in (("numerov", oracle._numerov_sweep,
+                                numerov_spectrum),
+                               ("fd", oracle._fd_sweep, fd_spectrum)):
+        g = default_grid(p, kind)
+        pot = oracle._potential_samples(p, g)
+        levels = solve(p, g, richardson=False).energies
+        for e in (-25.0, -20.0, -9.0, -5.0, -2.0, -1.0, -0.1, 0.0):
+            nodes, mism = sweep(pot, g.h, -e)
+            assert nodes == sum(1 for lv in levels if lv < e)
+            assert (mism < 0.0) == (nodes % 2 == 1)
+
+
+def test_sweep_start_changes_rounding_only(monkeypatch):
+    # starting where the growth from the turning point reaches e^25 leaves
+    # out grid points that change u by about e^-50 relative
+    p = make_params(900.0, 1.0)
+    for kind, sweep in (("numerov", oracle._numerov_sweep),
+                        ("fd", oracle._fd_sweep)):
+        g = default_grid(p, kind)
+        pot = oracle._potential_samples(p, g)
+        for alpha2 in np.linspace(0.0, 900.0, 61):
+            assert len(oracle._swept(pot, g.h, alpha2)) <= len(pot)
+            cut = sweep(pot, g.h, alpha2)
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_swept", lambda pot, h, alpha2: pot)
+                full = sweep(pot, g.h, alpha2)
+            assert cut[0] == full[0]
+            assert abs(cut[1] - full[1]) <= 1e-14
+
+
+def test_richardson_gap_bounds_the_error():
+    # the gap of the O(h^4) Numerov levels is below 1e-6 |E|; that of the
+    # O(h^2) FD levels reaches 9.4e-5 |E| for the top level
+    p = make_params(25.0, 1.0)
+    analytic = sorted(s.energy for s in spectrum(p))
+    for spec, rel in ((numerov_spectrum(p), 1e-6), (fd_spectrum(p), 1e-4)):
+        assert len(spec.errors) == len(spec.energies) == 3
+        for e, gap, exact in zip(spec.energies, spec.errors, analytic):
+            assert gap < rel * abs(e)
+            assert abs(exact - e) <= 2.0 * gap
+    assert numerov_spectrum(p, richardson=False).errors == (None,) * 3
 
 
 def test_numerov_self_convergence_under_grid_halving():
@@ -185,7 +271,7 @@ def test_randomized_count_agreement_between_oracles():
         picked += 1
         p = make_params(v0, beta)
         n_num = len(numerov_spectrum(p).energies)
-        n_fd = len(fd_spectrum(p, k=10).energies)
+        n_fd = len(fd_spectrum(p).energies)
         n_ana = len(spectrum(p))
         assert n_num == n_fd == n_ana, (v0, beta, z0)
 
@@ -198,7 +284,7 @@ def test_fd_variational_monotonicity_in_r_max():
     converged = fd_spectrum(p).energies
     for r_max in (20.0, 30.0, 40.0):
         n = int(round(r_max / 0.005)) + 1
-        vals = fd_spectrum(p, RadialGrid(r_max, n), k=5, cfg=cfg,
+        vals = fd_spectrum(p, RadialGrid(r_max, n), cfg=cfg,
                            richardson=False).energies
         assert len(vals) == 3
         for e_trunc, e_conv in zip(vals, converged):
@@ -209,11 +295,6 @@ def test_fd_variational_monotonicity_in_r_max():
                 # below the eigensolver's rounding jitter
                 assert b <= a + 1e-9
         prev = vals
-
-
-def test_fd_spectrum_rejects_bad_k():
-    with pytest.raises(DomainError):
-        fd_spectrum(make_params(25.0, 1.0), k=0)
 
 
 def test_radial_grid_validation():
