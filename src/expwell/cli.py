@@ -180,6 +180,17 @@ def _params_dict(p: solver.PotentialParams) -> dict:
             "gamma": p.gamma, "z0": p.z0}
 
 
+_ORACLE_COLUMNS = (("energy_numerov", "Numerov"),
+                   ("energy_fd", "finite differences"))
+
+
+def _rel_dev(row: dict, key: str) -> float | None:
+    """Relative deviation of an oracle energy from the analytic one."""
+    if row[key] is None:
+        return None
+    return abs(row[key] - row["energy"]) / abs(row["energy"])
+
+
 @main.command()
 @_potential_options
 @_solver_options
@@ -213,6 +224,12 @@ def spectrum(v0, beta, mu, hbar, bracket_step, root_tol, energy_tol,
         rows.append({"n": s.n, "nu": s.nu, "alpha": s.alpha,
                      "energy": s.energy, "energy_numerov": e_num,
                      "energy_fd": e_fd})
+    for key, name in _ORACLE_COLUMNS:
+        for row in rows:
+            dev = _rel_dev(row, key)
+            if dev is not None and dev > verification.SPECTRUM_REL_TOL:
+                warnings.append(f"{name} level n={row['n']} deviates from "
+                                f"the analytic energy by {dev:.2e} (relative)")
 
     if fmt == "json":
         _emit(json_dumps({"params": _params_dict(p), "states": rows,
@@ -223,9 +240,7 @@ def spectrum(v0, beta, mu, hbar, bracket_step, root_tol, energy_tol,
                   "rel_dev_numerov", "rel_dev_fd"]
         body = []
         for row in rows:
-            devs = [None if row[k] is None
-                    else abs(row[k] - row["energy"]) / abs(row["energy"])
-                    for k in ("energy_numerov", "energy_fd")]
+            devs = [_rel_dev(row, k) for k, _ in _ORACLE_COLUMNS]
             body.append([row["n"], row["nu"], row["alpha"], row["energy"],
                          row["energy_numerov"], row["energy_fd"], *devs])
         _emit(csv_dumps(header, body), output)
@@ -242,9 +257,8 @@ def spectrum(v0, beta, mu, hbar, bracket_step, root_tol, energy_tol,
                      "            E_numerov         E_fd        rel.dev(num)"
                      "  rel.dev(fd)")
         for row in rows:
-            devs = ["-" if row[k] is None
-                    else f"{abs(row[k] - row['energy']) / abs(row['energy']):.2e}"
-                    for k in ("energy_numerov", "energy_fd")]
+            devs = ["-" if d is None else f"{d:.2e}"
+                    for d in (_rel_dev(row, k) for k, _ in _ORACLE_COLUMNS)]
             cells = [fmt_float(row[k]) if row[k] is not None else "-"
                      for k in ("nu", "alpha", "energy", "energy_numerov",
                                "energy_fd")]
@@ -412,9 +426,8 @@ def verify(quick):
     for name, value in DEFAULT_CONFIG.describe():
         click.echo(f"  {name} = {value}")
     qc = mellin.DEFAULT_QUADRATURE
-    click.echo(f"  quadrature = t_max={qc.t_max:g} n_panels={qc.n_panels} "
-               f"scheme={qc.scheme} n_avg={qc.n_avg} "
-               f"avg_spacing={qc.avg_spacing!r} n_graded={qc.n_graded}")
+    click.echo("  quadrature = " + " ".join(
+        f"{f.name}={getattr(qc, f.name)!r}" for f in dataclasses.fields(qc)))
     click.echo(f"checks ({'quick' if quick else 'full'} suite):")
     results = verification.run_all(quick=quick)
     for res in results:

@@ -17,11 +17,16 @@ import numpy as np
 from . import mellin, oracle, solver, specfun
 from .config import DEFAULT_CONFIG, SolverConfig
 
-__all__ = ["CheckResult", "ACCEPTANCE_CASES", "run_all"]
+__all__ = ["CheckResult", "ACCEPTANCE_CASES", "SPECTRUM_REL_TOL", "run_all"]
 
 #: (V0, beta) pairs, in the hbar = 1, 2 mu = 1 convention, used by the
 #: spectrum cross-validation checks.
 ACCEPTANCE_CASES = ((25.0, 1.0), (100.0, 2.0), (6.0, 1.0))
+
+#: Largest relative deviation of an oracle energy from the analytic one
+#: that the spectrum cross-validation accepts; ``expwell spectrum`` warns
+#: above it.
+SPECTRUM_REL_TOL = 1e-5
 
 _RHO_SET = (0.5, 1.3, 2.0, 3.7)
 _SEED = 20250809
@@ -134,13 +139,14 @@ def check_spectrum_cross_validation(cases=ACCEPTANCE_CASES,
         _, analytic, num, fd = _three_spectra(v0, beta, cfg)
         counts.append((len(analytic), len(num), len(fd)))
         if not (len(analytic) == len(num) == len(fd)):
-            return _result("spectrum cross-validation", math.inf, 1e-5,
+            return _result("spectrum cross-validation", math.inf,
+                           SPECTRUM_REL_TOL,
                            f"count mismatch for (V0={v0}, beta={beta}): "
                            f"{counts[-1]}")
         for e_a, e_n, e_f in zip(analytic, num, fd):
             worst = max(worst, abs(e_n - e_a) / abs(e_a),
                         abs(e_f - e_a) / abs(e_a))
-    return _result("spectrum cross-validation", worst, 1e-5,
+    return _result("spectrum cross-validation", worst, SPECTRUM_REL_TOL,
                    f"cases {cases}, counts {counts}")
 
 

@@ -68,6 +68,21 @@ def test_spectrum_json_three_states(runner):
         assert abs(s["energy_fd"] - s["energy"]) < 1e-5 * abs(s["energy"])
 
 
+def test_spectrum_warns_on_oracle_value_deviation(runner):
+    # V0=287: the 45/beta box squeezes FD's barely-bound top level (nu =
+    # 0.068) to 44% off; Numerov's is 8.2e-9 off, inside the 1e-5 of verify
+    res = runner.invoke(main, ["spectrum", "--v0", "287", "--beta", "1",
+                               "--format", "json"])
+    assert res.exit_code == 0
+    warnings = json.loads(res.output)["warnings"]
+    assert len(warnings) == 1
+    assert warnings[0].startswith("finite differences level n=10 deviates")
+    assert "4.39e-01" in warnings[0]
+    v25 = runner.invoke(main, ["spectrum", "--v0", "25", "--beta", "1",
+                               "--format", "json"])
+    assert json.loads(v25.output)["warnings"] == []
+
+
 def test_spectrum_json_round_trips_to_identical_bytes(runner):
     res = runner.invoke(main, ["spectrum", "--v0", "25", "--beta", "1",
                                "--format", "json"])
@@ -173,6 +188,8 @@ def test_verify_quick_passes_and_prints_defaults(runner):
     assert res.exit_code == 0
     assert "bracket_step = 0.05" in res.output
     assert "energy_tol = 1e-11" in res.output
+    assert ("quadrature = t_max=200.0 n_avg=16 avg_spacing=3.141592653589793"
+            " n_graded=96\n") in res.output
     assert res.output.count("PASS") >= 8
     assert "FAIL" not in res.output
 

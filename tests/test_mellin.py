@@ -22,6 +22,7 @@ from expwell import (
     g_iterate,
     gamma,
     match_parameters,
+    mellin,
     mellin_bessel_closed,
     mellin_bessel_sqrt,
     mellin_numeric,
@@ -195,11 +196,62 @@ def test_mellin_numeric_matches_bessel_pair(nu, y):
                  id="4.3-0.35-0.7929303276260473"),
     pytest.param(12.0, 0.25, 0.40807186578138205,
                  id="12.0-0.25-0.40807186578137367"),
+    # the ends of the order and y ranges the Bessel callers use
+    pytest.param(0.0, 0.05, 18.876361137755396,
+                 id="0.0-0.05-18.876361137755396"),
+    pytest.param(0.0, 0.65, 0.5438786974447467,
+                 id="0.0-0.65-0.5438786974447467"),
+    pytest.param(19.0, 0.05, 0.1318297715517075,
+                 id="19.0-0.05-0.1318297715517075"),
+    pytest.param(19.0, 0.65, 1.9650369771777556,
+                 id="19.0-0.65-1.9650369771777556"),
 ])
 def test_mellin_numeric_bessel_pair_regression_pin(nu, y, pinned):
     est = mellin_numeric(lambda x: bessel_j(nu, 2.0 * np.sqrt(x)), y,
                          BESSEL_CFG)
     assert abs(est.value - pinned) <= 1e-14 * abs(pinned)
+
+
+@pytest.mark.parametrize("y,pinned", [(0.02, 49.44221016316209),
+                                      (5.0, 24.0)])
+def test_mellin_numeric_gamma_pair_regression_pin(y, pinned):
+    # default config (t_max = 200); the values of the 4096-panel bulk mesh
+    est = mellin_numeric(lambda x: np.exp(-x), y)
+    assert abs(est.value - pinned) <= 1e-14 * abs(pinned)
+
+
+def test_gl8_literals_match_leggauss():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    for ours, ref in ((mellin._GL8_NODES, nodes),
+                      (mellin._GL8_WEIGHTS, weights)):
+        assert np.all(np.abs(ours - ref) <= np.spacing(np.abs(ref)))
+
+
+def test_mellin_numeric_calls_integrand_once_on_a_small_mesh():
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return bessel_j(4.3, 2.0 * np.sqrt(x))
+
+    mellin_numeric(f, 0.35, BESSEL_CFG)
+    assert len(calls) == 1
+    assert calls[0] <= 2100
+
+
+def test_mellin_numeric_without_tail_averaging():
+    # t_max < 4 pi leaves fewer than two averaging blocks: plain truncation
+    cfg = QuadratureConfig(t_max=10.0)
+    with pytest.raises(DivergenceError):
+        mellin_numeric(lambda x: np.ones_like(x), 0.5, cfg)
+    est = mellin_numeric(lambda x: np.exp(-x), 0.5, cfg)
+    assert abs(est.value - math.sqrt(math.pi)) < 1e-10
+
+
+@pytest.mark.parametrize("t_max", [10.0, 60.0])
+def test_mellin_estimate_value_is_python_float(t_max):
+    est = mellin_numeric(lambda x: np.exp(-x), 0.5, QuadratureConfig(t_max))
+    assert type(est.value) is float
 
 
 def test_mellin_numeric_general_a_pair_via_scipy():
@@ -242,17 +294,20 @@ def test_mellin_numeric_divergent_origin_raises():
 def test_quadrature_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(t_max=-1.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(n_panels=8)
-    with pytest.raises(ValueError):
-        QuadratureConfig(scheme="trapezoid")
 
 
-def test_mellin_numeric_simpson_scheme_agrees():
-    # composite Simpson converges O(w^4); gl8 is the precision scheme
-    cfg = QuadratureConfig(scheme="simpson", n_panels=8192)
-    est = mellin_numeric(lambda x: np.exp(-x), 2.5, cfg)
-    assert abs(est.value - gamma(2.5)) < 1e-5
+@pytest.mark.parametrize("kw", [
+    pytest.param({"n_graded": 0}, id="n_graded=0"),
+    pytest.param({"n_graded": -3}, id="n_graded=-3"),
+    pytest.param({"t_max": math.inf}, id="t_max=inf"),
+    pytest.param({"t_max": math.nan}, id="t_max=nan"),
+    pytest.param({"avg_spacing": math.nan}, id="avg_spacing=nan"),
+    # the mesh grows with t_max / avg_spacing: 8 panels per avg_spacing
+    pytest.param({"avg_spacing": 1e-3}, id="avg_spacing=1e-3"),
+])
+def test_quadrature_config_rejects(kw):
+    with pytest.raises(ValueError):
+        QuadratureConfig(**kw)
 
 
 def test_mellin_point_validates_finiteness():

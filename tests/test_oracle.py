@@ -105,6 +105,14 @@ def test_import_leaves_scipy_unloaded():
     assert _run_python(code).strip() == "[]"
 
 
+def test_import_leaves_numpy_polynomial_unloaded():
+    # the Mellin quadrature holds its Gauss-Legendre rule as literals
+    code = ("import sys, expwell; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('numpy.polynomial')))")
+    assert _run_python(code).strip() == "[]"
+
+
 def test_numerov_spectrum_returns_when_energies_exceed_2_16():
     # |E| >= 2^16: one ulp of E exceeds energy_tol = 1e-11, so bisection
     # must stop once the midpoint equals an end of the bracket.  One grid
