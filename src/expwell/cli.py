@@ -109,11 +109,9 @@ def _build_params(v0, beta, mu, hbar) -> solver.PotentialParams:
     return solver.make_params(v0, beta, mu, hbar)
 
 
-def _build_config(bracket_step, root_tol, energy_tol, grid_points, r_max,
+def _build_config(root_tol, energy_tol, grid_points, r_max,
                   beta) -> SolverConfig:
     kw = {}
-    if bracket_step is not None:
-        kw["bracket_step"] = bracket_step
     if root_tol is not None:
         kw["root_tol"] = root_tol
     if energy_tol is not None:
@@ -159,8 +157,6 @@ def _solver_options(f):
     f = click.option("--root-tol", type=float, default=None,
                      help="Absolute tolerance for Bessel-order zeros: Newton "
                           "refinement stops at a step this small.")(f)
-    f = click.option("--bracket-step", type=float, default=None,
-                     help="Scan step in the Bessel order nu.")(f)
     return f
 
 
@@ -195,12 +191,11 @@ def _rel_dev(row: dict, key: str) -> float | None:
 @_potential_options
 @_solver_options
 @_output_options
-def spectrum(v0, beta, mu, hbar, bracket_step, root_tol, energy_tol,
-             grid_points, r_max, fmt, output):
+def spectrum(v0, beta, mu, hbar, root_tol, energy_tol, grid_points, r_max,
+             fmt, output):
     """Compute the bound-state spectrum and oracle cross-checks."""
     p = _build_params(v0, beta, mu, hbar)
-    cfg = _build_config(bracket_step, root_tol, energy_tol, grid_points,
-                        r_max, beta)
+    cfg = _build_config(root_tol, energy_tol, grid_points, r_max, beta)
     try:
         result = solver.compute_spectrum(p, cfg)
         states = list(result.states)
@@ -276,19 +271,17 @@ def spectrum(v0, beta, mu, hbar, bracket_step, root_tol, energy_tol,
 @click.option("--root-tol", type=float, default=None,
               help="Absolute tolerance for Bessel-order zeros: Newton "
                    "refinement stops at a step this small.")
-@click.option("--bracket-step", type=float, default=None,
-              help="Scan step in the Bessel order nu.")
 @click.option("--points", type=int, default=501, show_default=True,
               help="Number of radial samples.")
 @click.option("--r-max", "table_r_max", type=float, default=None,
               help="Largest radius tabulated (default 20/beta).")
 @click.option("--state", "state_index", type=int, default=0, show_default=True,
               help="State index n (0 = most bound).")
-def wavefunction(v0, beta, mu, hbar, bracket_step, root_tol, points,
-                 table_r_max, state_index, fmt, output):
+def wavefunction(v0, beta, mu, hbar, root_tol, points, table_r_max,
+                 state_index, fmt, output):
     """Tabulate the normalized u(r) (and R = u/r) of one bound state."""
     p = _build_params(v0, beta, mu, hbar)
-    cfg = _build_config(bracket_step, root_tol, None, None, None, beta)
+    cfg = _build_config(root_tol, None, None, None, beta)
     if points < 2:
         raise click.UsageError("--points must be at least 2")
     try:

@@ -11,8 +11,6 @@ class SolverConfig:
 
     Attributes
     ----------
-    bracket_step : float
-        Step of the sign-change scan in the Bessel order nu.
     root_tol : float
         Absolute tolerance for zeros in nu: Newton refinement stops at a
         step this small, and zeros within it of nu = 0 are the
@@ -30,7 +28,6 @@ class SolverConfig:
         Default grid size for the finite-difference oracle.
     """
 
-    bracket_step: float = 0.05
     root_tol: float = 1e-12
     residual_tol: float = 1e-8
     energy_tol: float = 1e-11
@@ -39,8 +36,6 @@ class SolverConfig:
     fd_points: int = 9001
 
     def __post_init__(self):
-        if self.bracket_step <= 0:
-            raise ValueError("bracket_step must be positive")
         if self.root_tol <= 0 or self.energy_tol <= 0:
             raise ValueError("tolerances must be positive")
 

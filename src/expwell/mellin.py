@@ -105,8 +105,9 @@ class QuadratureConfig:
         if self.t_max > _MAX_SPACINGS * self.avg_spacing:
             raise ValueError(f"t_max / avg_spacing must be at most "
                              f"{_MAX_SPACINGS}")
-        if self.n_graded < 1:
-            raise ValueError("n_graded must be at least 1")
+        # The origin-divergence check compares neighbouring graded panels.
+        if self.n_graded < 2:
+            raise ValueError("n_graded must be at least 2")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import DomainError, ParameterMismatchError
-from .specfun import bessel_j, bessel_j_dnu, find_nu_zeros
+from .specfun import _bessel_j_dnu_next, bessel_j, find_nu_zeros
 
 __all__ = [
     "PotentialParams",
@@ -155,8 +155,10 @@ def spectrum(p: PotentialParams,
     return list(compute_spectrum(p, cfg).states)
 
 
-def _check_state(p: PotentialParams, s: BoundState, residual_tol: float):
-    res = abs(bessel_j(s.nu, p.z0))
+def _check_state(p: PotentialParams, s: BoundState, j: float,
+                 residual_tol: float):
+    """Raise unless j = J_nu(z0) is within residual_tol of 0."""
+    res = abs(j)
     if res > residual_tol:
         raise ParameterMismatchError(
             f"state nu={s.nu:.12g} is not quantized for z0={p.z0:.12g}: "
@@ -166,7 +168,7 @@ def _check_state(p: PotentialParams, s: BoundState, residual_tol: float):
 def wavefunction(p: PotentialParams, s: BoundState, r,
                  cfg: SolverConfig = DEFAULT_CONFIG):
     """u(r) = norm_c * J_nu(z0 exp(-beta r / 2)) for r >= 0 (scalar or array)."""
-    _check_state(p, s, cfg.residual_tol)
+    _check_state(p, s, bessel_j(s.nu, p.z0), cfg.residual_tol)
     r_a = np.asarray(r, dtype=float)
     if not np.all(r_a >= 0.0):
         raise DomainError("wavefunction: r must be non-negative")
@@ -201,11 +203,11 @@ def normalize(p: PotentialParams, s: BoundState,
     z0 J_(nu+1)(z0) dJ_nu/dnu(z0) / (beta nu).  This holds for every
     nu > 0, barely-bound states included.  Against quadrature it is good
     to ~4e-14 relative for z0 <= 45 and ~3e-14 for all 19 states at
-    z0 = 60.
+    z0 = 60.  J_nu, dJ_nu/dnu and J_(nu+1) come from one Miller run.
     """
-    _check_state(p, s, cfg.residual_tol)
-    _, dj_dnu = bessel_j_dnu(s.nu, p.z0)
-    total = p.z0 * bessel_j(s.nu + 1.0, p.z0) * dj_dnu / (p.beta * s.nu)
+    j, dj_dnu, j_next = _bessel_j_dnu_next(s.nu, p.z0)
+    _check_state(p, s, j, cfg.residual_tol)
+    total = p.z0 * j_next * dj_dnu / (p.beta * s.nu)
     if not (total > 0.0 and math.isfinite(total)):
         raise DomainError("normalize: integral of u^2 is not positive")
     return replace(s, norm_c=1.0 / math.sqrt(total))

@@ -23,6 +23,10 @@ __all__ = ["CheckResult", "ACCEPTANCE_CASES", "SPECTRUM_REL_TOL", "run_all"]
 #: spectrum cross-validation checks.
 ACCEPTANCE_CASES = ((25.0, 1.0), (100.0, 2.0), (6.0, 1.0))
 
+#: (V0, beta) pairs whose states the normalization check integrates: the
+#: spectrum cases plus the deepest well of the envelope, z0 = 60.
+NORMALIZATION_CASES = ACCEPTANCE_CASES + ((900.0, 1.0),)
+
 #: Largest relative deviation of an oracle energy from the analytic one
 #: that the spectrum cross-validation accepts; ``expwell spectrum`` warns
 #: above it.
@@ -206,6 +210,23 @@ def check_wavefunction_validity(cases=ACCEPTANCE_CASES,
                    f"node counts all correct")
 
 
+def check_normalization(cases=NORMALIZATION_CASES,
+                        cfg: SolverConfig = DEFAULT_CONFIG) -> CheckResult:
+    """Lommel's closed-form norm vs the trapezoid rule on u^2, per state."""
+    worst = 0.0
+    n_states = 0
+    for v0, beta in cases:
+        p = solver.make_params(v0, beta)
+        r = np.linspace(0.0, 45.0 / beta, 9001)
+        for s in solver.spectrum(p, cfg):
+            u = solver.wavefunction(p, solver.normalize(p, s, cfg), r, cfg)
+            worst = max(worst, abs(float(np.trapezoid(u * u, r)) - 1.0))
+            n_states += 1
+    return _result("normalization", worst, 1e-9,
+                   f"|integral u^2 - 1|, trapezoid rule on [0, 45/beta] with "
+                   f"9001 points, {n_states} states of {cases}")
+
+
 def check_scaling_exactness(cfg: SolverConfig = DEFAULT_CONFIG) -> CheckResult:
     """(V0, beta) -> (4 V0, 2 beta) keeps every nu and multiplies E by 4."""
     worst_nu = 0.0
@@ -255,6 +276,7 @@ def run_all(quick: bool = False) -> list[CheckResult]:
             check_spectrum_cross_validation(cases),
             check_threshold_behavior(z0_max=6),
             check_wavefunction_validity(cases),
+            check_normalization(cases),
             check_scaling_exactness(),
             check_bessel_recurrence(samples=40),
         ]
@@ -266,6 +288,7 @@ def run_all(quick: bool = False) -> list[CheckResult]:
         check_spectrum_cross_validation(),
         check_threshold_behavior(),
         check_wavefunction_validity(),
+        check_normalization(),
         check_scaling_exactness(),
         check_bessel_recurrence(),
     ]

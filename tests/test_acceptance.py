@@ -63,6 +63,11 @@ def test_acceptance_9_bessel_recurrence_suite():
     _run(verification.check_bessel_recurrence)
 
 
+def test_acceptance_10_normalization():
+    """Trapezoid integral of u^2 within 1e-9 of 1 for every state of four wells."""
+    _run(verification.check_normalization)
+
+
 @pytest.mark.parametrize("quick", [True])
 def test_quick_suite_is_consistent_with_full_tolerances(quick):
     results = verification.run_all(quick=quick)

@@ -186,7 +186,6 @@ def test_mellin_check_deterministic(runner):
 def test_verify_quick_passes_and_prints_defaults(runner):
     res = runner.invoke(main, ["verify", "--quick"])
     assert res.exit_code == 0
-    assert "bracket_step = 0.05" in res.output
     assert "energy_tol = 1e-11" in res.output
     assert ("quadrature = t_max=200.0 n_avg=16 avg_spacing=3.141592653589793"
             " n_graded=96\n") in res.output

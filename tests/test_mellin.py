@@ -298,6 +298,9 @@ def test_quadrature_config_validation():
 
 @pytest.mark.parametrize("kw", [
     pytest.param({"n_graded": 0}, id="n_graded=0"),
+    # one graded panel leaves the origin-divergence check nothing to
+    # compare: it called exp(-x) at y = 1 divergent
+    pytest.param({"n_graded": 1}, id="n_graded=1"),
     pytest.param({"n_graded": -3}, id="n_graded=-3"),
     pytest.param({"t_max": math.inf}, id="t_max=inf"),
     pytest.param({"t_max": math.nan}, id="t_max=nan"),

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 from scipy.special import digamma as scipy_digamma
-from scipy.special import jv, y0
+from scipy.special import jn_zeros, jv, y0
 
 from expwell import (
     BESSEL_Z_MAX,
@@ -20,7 +20,6 @@ from expwell import (
     DomainError,
     GammaOverflowError,
     PoleError,
-    SolverConfig,
     bessel_j,
     bessel_j_dnu,
     digamma,
@@ -350,7 +349,7 @@ def test_find_nu_zeros_z0_10_against_scipy():
     assert res.search_ceiling == 10.0
     for mine, their in zip(res.zeros, ref):
         assert abs(mine - their) < 1e-10
-    # coarse locations from the sign-change scan
+    # coarse locations
     assert np.allclose(res.zeros, [0.9, 3.2, 6.1], atol=0.1)
 
 
@@ -370,12 +369,49 @@ def test_find_nu_zeros_ascending_and_residuals():
     assert all(abs(bessel_j(nu, 24.0)) < 1e-9 for nu in zs)
 
 
-def test_find_nu_zeros_invariant_under_halved_bracket_step():
-    base = find_nu_zeros(10.0, SolverConfig(bracket_step=0.05))
-    fine = find_nu_zeros(10.0, SolverConfig(bracket_step=0.025))
-    assert len(base.zeros) == len(fine.zeros)
-    for a, b in zip(base.zeros, fine.zeros):
-        assert abs(a - b) < 1e-11
+_J0_ZEROS = jn_zeros(0, 20)
+# z0 = j_{0,k} (1 + eps): a state with nu of order eps appears (eps > 0)
+# or is still missing (eps < 0).
+_THRESHOLD_WELLS = [float(j * (1.0 + eps)) for j in _J0_ZEROS[:19]
+                    for eps in (1e-8, 1e-6, 1e-4, 1e-3, -1e-6, -1e-3)]
+
+
+@pytest.mark.parametrize("wells", [
+    pytest.param(np.linspace(0.5, 60.0, 600), id="grid"),
+    pytest.param(_THRESHOLD_WELLS, id="thresholds"),
+    pytest.param([60.0, J01, float(_J0_ZEROS[18]), 1.0, 0.3, 1e-300],
+                 id="edges"),
+])
+def test_find_nu_zeros_counts_equal_j0_zero_counts(wells):
+    # Each state is a zero nu > 0 of J_nu(z0); there is one for every
+    # j_{0,k} < z0, since J_nu(z0) crosses zero at nu = 0 when z0 = j_{0,k}.
+    # At a threshold to the last bits the new state is within root_tol of
+    # nu = 0, which is not returned.
+    for z0 in wells:
+        want = int(np.sum(_J0_ZEROS < z0 * (1.0 - 1e-11)))
+        assert len(find_nu_zeros(z0).zeros) == want, z0
+
+
+def test_find_nu_zeros_makes_no_bessel_j_call(monkeypatch):
+    # The brackets come from one recurrence at nu = 0, not from J_nu(z0)
+    # on a grid of orders.
+    import expwell.specfun as specfun
+
+    def forbidden(nu, z):
+        raise AssertionError("bessel_j called")
+
+    monkeypatch.setattr(specfun, "bessel_j", forbidden)
+    assert len(find_nu_zeros(45.0).zeros) == int(np.sum(_J0_ZEROS < 45.0))
+
+
+def test_bessel_j_dnu_next_is_one_run_of_three_values():
+    from expwell.specfun import _bessel_j_dnu_next
+    rng = np.random.default_rng(11)
+    for nu, z in zip(rng.uniform(0.0, 50.0, 40), rng.uniform(0.2, 60.0, 40)):
+        j, dj, j_next = _bessel_j_dnu_next(nu, z)
+        assert j == bessel_j(nu, z)
+        assert dj == bessel_j_dnu(nu, z)[1]
+        assert abs(j_next - jv(nu + 1.0, z)) < 2e-14
 
 
 def test_find_nu_zeros_domain():
